@@ -64,13 +64,6 @@ class Checker {
   std::mutex mu_;
 };
 
-/// Counts of foreground statements; a statement that returns any error,
-/// BindError (unservable) included, is failed.
-struct StatementCounts {
-  std::atomic<uint64_t> attempted{0};
-  std::atomic<uint64_t> failed{0};
-};
-
 // ---------------------------------------------------------------- inputs
 
 /// The TPC-W universe of one run: schemas, entity data, the 20 queries and
@@ -89,6 +82,10 @@ pse::Result<std::vector<Row>> SortedTableRows(Database* db, const std::string& t
 pse::Result<std::vector<Row>> SortedQueryRows(Database* db, const pse::LogicalQuery& query,
                                               const PhysicalSchema& schema);
 bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b);
+
+/// True when every table of `db` (laid out by `schema`) equals a fresh
+/// materialization of `truth` on `schema`.
+bool TablesMatch(Database* db, const PhysicalSchema& schema, const LogicalDatabase& truth);
 
 /// `db` (whose tables follow `schema`) must equal a fresh materialization of
 /// `truth` on `schema`, table for table; and every query must return the
@@ -203,11 +200,14 @@ struct Statement {
 };
 
 struct TrafficConfig {
+  size_t statements = 0;
   double rate = 100;  ///< statements per second offered
-  double seconds = 10;
+  /// The share of writes and the relative weights of INSERT, UPDATE and
+  /// DELETE among them. The defaults are the repository's fleet bench
+  /// (bench/bench_fleet.cc): a fifth of the statements write, as the
+  /// ordering interactions of TPC-W's shopping mix do, at 6 : 3 : 1.
   double write_share = 0.2;
-  /// Relative weights of INSERT, UPDATE and DELETE among the writes.
-  std::array<double, 3> write_kinds = {2, 7, 1};
+  std::array<double, 3> write_kinds = {6, 3, 1};
   size_t tenants = 1;
   /// Per-tenant key ranges of the generated data (same scale everywhere).
   pse::TpcwScale scale;
@@ -226,36 +226,33 @@ struct Traffic {
 pse::Result<Traffic> MakeTraffic(const Tpcw& w, const std::vector<PhysicalSchema>& steps,
                                  const TrafficConfig& config, uint64_t seed);
 
+/// What the foreground did. A statement that returns any error, BindError
+/// (unservable) included, is failed and has no latency sample.
 struct ForegroundResult {
   std::vector<double> read_ms, write_ms, late_ms;
+  uint64_t attempted = 0, failed = 0;
 };
 
-/// Runs the schedule open-loop on worker threads against `targets`,
-/// applying every acknowledged write to mirrors[tenant] (created from
-/// truth[tenant] on first write). Writes of one tenant always run on one
-/// worker, so each mirror sees them in execution order.
+/// Runs the schedule open-loop, in due order, on one worker thread against
+/// `targets`, and applies every acknowledged write to the tenant's entity
+/// mirror (created from truth[tenant] on its first write) in the order the
+/// writes ran.
 class Foreground {
  public:
-  /// Reads go to whichever of `read_workers` is free first, and a tenant's
-  /// writes to write worker (tenant % write_workers), so a stalled write
-  /// never delays a read. With no read workers, a tenant's reads share its
-  /// write worker.
   Foreground(const Tpcw& w, const Traffic& traffic, std::vector<Target> targets,
-             std::vector<const LogicalDatabase*> truth, pse::SharedPlanCache* cache,
-             size_t read_workers, size_t write_workers);
-  /// Starts the workers; statement i is due at start + due_s.
+             std::vector<const LogicalDatabase*> truth, pse::SharedPlanCache* cache);
+  /// Starts the worker; statement i is due at start + due_s.
   void Start();
   /// Waits for every statement to finish.
   ForegroundResult Join();
 
-  const StatementCounts& counts() const { return counts_; }
   /// The tenant's entity truth after the run: its mirror when written,
   /// else its initial data.
   const LogicalDatabase& Truth(size_t tenant) const;
 
  private:
-  void Worker(size_t index, Clock::time_point start);
-  void Execute(const Statement& stmt, Clock::time_point due, size_t worker);
+  void Run(Clock::time_point start);
+  void Execute(const Statement& stmt, Clock::time_point due);
 
   const Tpcw& w_;
   const Traffic& traffic_;
@@ -263,14 +260,8 @@ class Foreground {
   std::vector<const LogicalDatabase*> truth_;
   std::vector<std::unique_ptr<LogicalDatabase>> mirrors_;
   pse::SharedPlanCache* cache_;
-  size_t read_workers_;
-  std::vector<size_t> reads_;  ///< read statement indexes, in due order
-  std::atomic<size_t> next_read_{0};
-  std::vector<std::vector<size_t>> write_lanes_;  ///< per write worker
-  std::vector<ForegroundResult> results_;
-  std::vector<std::thread> threads_;
-  StatementCounts counts_;
-  std::mutex error_mu_;
+  ForegroundResult result_;
+  std::thread thread_;
   std::string first_error_;
 };
 

@@ -98,6 +98,17 @@ bool SameRows(const std::vector<Row>& a, const std::vector<Row>& b) {
   return true;
 }
 
+bool TablesMatch(Database* db, const PhysicalSchema& schema, const LogicalDatabase& truth) {
+  Database fresh(4096);
+  if (!truth.Materialize(&fresh, schema).ok()) return false;
+  for (const pse::PhysicalTable& table : schema.tables()) {
+    pse::Result<std::vector<Row>> got = SortedTableRows(db, table.name);
+    pse::Result<std::vector<Row>> want = SortedTableRows(&fresh, table.name);
+    if (!got.ok() || !want.ok() || !SameRows(*got, *want)) return false;
+  }
+  return true;
+}
+
 void CheckAgainstTruth(Database* db, const PhysicalSchema& schema, const LogicalDatabase& truth,
                        const Tpcw& w, const std::string& where, Checker* checker) {
   Database fresh(4096);

@@ -1,5 +1,9 @@
 // The open-loop foreground: a seeded schedule of reads and entity writes
-// sent at a fixed offered rate, each timed from the moment it was due.
+// sent at a fixed offered rate. Each statement is timed from the moment it
+// is sent; how late it was sent is recorded apart. One worker sends every
+// statement, so timing from the due time would charge a statement with the
+// wait behind the one before it, which independent clients would not see,
+// and with every stall of the worker's own CPU while it waits.
 //
 // Reads follow the Fig 9 phase mix, the phase advancing with the schedule;
 // writes are TPC-W purchase-side entity writes (orders and credit card
@@ -9,7 +13,6 @@
 // tenant's catalog latch together with its serving schema — so no
 // statement is sent that the tenant cannot serve.
 #include <algorithm>
-#include <mutex>
 #include <random>
 #include <shared_mutex>
 #include <thread>
@@ -113,7 +116,8 @@ pse::Result<Traffic> MakeTraffic(const Tpcw& w, const std::vector<PhysicalSchema
   // only payments the schedule inserted, and orders are only updated. A
   // childless order does not survive the cc_xacts x orders combine (see
   // CHANGES.md), so these statements would diverge from the mirror on some
-  // seeds.
+  // seeds; the fleet workload's lost-order probe shows that loss on a fixed
+  // input instead.
   std::vector<Template> templates, always_writes;
   for (uint32_t t = 0; t < tr.tables.size(); ++t) {
     for (DmlKind kind : {DmlKind::kInsert, DmlKind::kUpdate, DmlKind::kDelete}) {
@@ -138,29 +142,29 @@ pse::Result<Traffic> MakeTraffic(const Tpcw& w, const std::vector<PhysicalSchema
       {S.cc_xacts, static_cast<int64_t>(sc.num_orders())}};
   std::vector<TenantKeys> keys(config.tenants);
   for (TenantKeys& k : keys) k.next = generated;
+  // Keys the schedule inserted and has not deleted yet, per anchor entity:
+  // (tenant, key).
+  std::map<pse::EntityId, std::vector<std::pair<uint32_t, int64_t>>> inserted;
+  // Each kind's weight is shared by its templates, so the kinds come in the
+  // configured proportions whatever the number of tables per kind.
   auto kind_weights = [&](const std::vector<Template>& pool) {
-    const auto& k = config.write_kinds;
+    std::array<size_t, pse::kNumDmlKinds> per_kind{};
+    for (const Template& t : pool) ++per_kind[static_cast<size_t>(t.kind)];
     std::vector<double> weights;
     for (const Template& t : pool) {
-      weights.push_back(t.kind == DmlKind::kInsert ? k[0] : t.kind == DmlKind::kUpdate ? k[1] : k[2]);
+      const auto& k = config.write_kinds;
+      const double kind = t.kind == DmlKind::kInsert ? k[0] : t.kind == DmlKind::kUpdate ? k[1] : k[2];
+      weights.push_back(kind / static_cast<double>(per_kind[static_cast<size_t>(t.kind)]));
     }
     return weights;
   };
   static const char* kWords[] = {"PENDING", "SHIPPED", "DENIED", "VISA", "AMEX", "MC"};
-  auto make_dml = [&](const Template& t, TenantKeys& k) {
+  auto make_dml = [&](const Template& t, DmlKind kind, int64_t key) {
     const pse::VersionTable& vt = tr.tables[t.table];
-    const int64_t base = generated[vt.anchor];
     LogicalDml dml;
-    dml.kind = t.kind;
+    dml.kind = kind;
     dml.table = vt;
-    if (dml.kind == DmlKind::kDelete && k.next[vt.anchor] == base) dml.kind = DmlKind::kUpdate;
-    if (dml.kind == DmlKind::kInsert) {
-      dml.key = k.next[vt.anchor]++;
-    } else if (dml.kind == DmlKind::kDelete) {
-      dml.key = rng.UniformInt(base, k.next[vt.anchor] - 1);
-    } else {
-      dml.key = rng.UniformInt(0, k.next[vt.anchor] - 1);
-    }
+    dml.key = key;
     if (dml.kind == DmlKind::kDelete) return dml;
     for (pse::AttrId a : vt.attrs) {
       const pse::LogicalAttribute& attr = lg.attr(a);
@@ -196,7 +200,7 @@ pse::Result<Traffic> MakeTraffic(const Tpcw& w, const std::vector<PhysicalSchema
   // and the writes the kind weights, in exact counts shuffled by the seed:
   // every run serves the same multiset of statements, and only their order
   // and the data vary with the seed.
-  const size_t n = static_cast<size_t>(config.rate * config.seconds);
+  const size_t n = config.statements;
   const size_t phases = w.freqs.size();
   auto phase_of = [&](size_t i) { return std::min(phases - 1, i * phases / n); };
   auto is_write = [&](size_t i) {
@@ -218,6 +222,7 @@ pse::Result<Traffic> MakeTraffic(const Tpcw& w, const std::vector<PhysicalSchema
     for (size_t t = 0; t < counts.size(); ++t) write_queue.insert(write_queue.end(), counts[t], t);
     rng.Shuffle(&write_queue);
   }
+  const std::vector<double> fallback_write_weights = kind_weights(always_writes);
   std::vector<size_t> next_read(phases, 0);
   size_t next_write = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -232,97 +237,95 @@ pse::Result<Traffic> MakeTraffic(const Tpcw& w, const std::vector<PhysicalSchema
       for (uint32_t q : always_reads) fallback_weights.push_back(w.freqs[p][q] + 1e-9);
       std::discrete_distribution<size_t> fb(fallback_weights.begin(), fallback_weights.end());
       st.fallback_query = always_reads[fb(rng)];
-    } else {
-      TenantKeys& k = keys[st.tenant];
-      const Template& primary = templates[write_queue[next_write++]];
-      st.table = primary.table;
-      st.dml = make_dml(primary, k);
-      std::vector<double> fallback_weights = kind_weights(always_writes);
-      std::discrete_distribution<size_t> fb(fallback_weights.begin(), fallback_weights.end());
-      const Template& fallback = always_writes[fb(rng)];
-      st.fallback_table = fallback.table;
-      st.fallback_dml = make_dml(fallback, k);
+      tr.statements.push_back(std::move(st));
+      continue;
     }
+    const Template& primary = templates[write_queue[next_write++]];
+    const pse::EntityId anchor = tr.tables[primary.table].anchor;
+    DmlKind kind = primary.kind;
+    int64_t key = 0;
+    std::vector<std::pair<uint32_t, int64_t>>& live = inserted[anchor];
+    if (kind == DmlKind::kDelete && live.empty()) kind = DmlKind::kUpdate;
+    if (kind == DmlKind::kInsert) {
+      key = keys[st.tenant].next[anchor]++;
+      live.emplace_back(st.tenant, key);
+    } else if (kind == DmlKind::kDelete) {
+      // A delete goes to the tenant of an earlier insert and removes it.
+      const size_t k = rng.Index(live.size());
+      st.tenant = live[k].first;
+      key = live[k].second;
+      live[k] = live.back();
+      live.pop_back();
+    } else {
+      key = rng.UniformInt(0, keys[st.tenant].next[anchor] - 1);
+    }
+    st.table = primary.table;
+    st.dml = make_dml(primary, kind, key);
+    // The fallback writes the same entity row with the same kind through a
+    // table servable at every step, when there is one.
+    const Template* fallback = nullptr;
+    for (const Template& t : always_writes) {
+      if (t.kind == kind && tr.tables[t.table].anchor == anchor) fallback = &t;
+    }
+    if (fallback == nullptr) {
+      std::discrete_distribution<size_t> fb(fallback_write_weights.begin(),
+                                            fallback_write_weights.end());
+      fallback = &always_writes[fb(rng)];
+      const pse::EntityId fb_anchor = tr.tables[fallback->table].anchor;
+      kind = fallback->kind == DmlKind::kDelete ? DmlKind::kUpdate : fallback->kind;
+      key = kind == DmlKind::kInsert ? keys[st.tenant].next[fb_anchor]++
+                                     : rng.UniformInt(0, keys[st.tenant].next[fb_anchor] - 1);
+    }
+    st.fallback_table = fallback->table;
+    st.fallback_dml = make_dml(*fallback, kind, key);
     tr.statements.push_back(std::move(st));
   }
   return tr;
 }
 
 Foreground::Foreground(const Tpcw& w, const Traffic& traffic, std::vector<Target> targets,
-                       std::vector<const LogicalDatabase*> truth, pse::SharedPlanCache* cache,
-                       size_t read_workers, size_t write_workers)
+                       std::vector<const LogicalDatabase*> truth, pse::SharedPlanCache* cache)
     : w_(w),
       traffic_(traffic),
       targets_(std::move(targets)),
       truth_(std::move(truth)),
       mirrors_(targets_.size()),
-      cache_(cache),
-      read_workers_(read_workers),
-      write_lanes_(write_workers),
-      results_(read_workers + write_workers) {
-  for (size_t i = 0; i < traffic_.statements.size(); ++i) {
-    const Statement& st = traffic_.statements[i];
-    // A tenant's writes share one worker so its mirror sees them in order;
-    // with no read workers, its reads go there too.
-    if (st.write || read_workers == 0) {
-      write_lanes_[st.tenant % write_workers].push_back(i);
-    } else {
-      reads_.push_back(i);
-    }
-  }
-}
+      cache_(cache) {}
 
 void Foreground::Start() {
   const Clock::time_point start = Clock::now();
-  for (size_t i = 0; i < results_.size(); ++i) {
-    threads_.emplace_back([this, i, start] { Worker(i, start); });
-  }
+  thread_ = std::thread([this, start] { Run(start); });
 }
 
 ForegroundResult Foreground::Join() {
-  for (std::thread& t : threads_) t.join();
-  threads_.clear();
-  ForegroundResult all;
-  for (const ForegroundResult& r : results_) {
-    all.read_ms.insert(all.read_ms.end(), r.read_ms.begin(), r.read_ms.end());
-    all.write_ms.insert(all.write_ms.end(), r.write_ms.begin(), r.write_ms.end());
-    all.late_ms.insert(all.late_ms.end(), r.late_ms.begin(), r.late_ms.end());
-  }
+  thread_.join();
   if (!first_error_.empty()) std::fprintf(stderr, "first failed statement: %s\n", first_error_.c_str());
-  return all;
+  return std::move(result_);
 }
 
 const LogicalDatabase& Foreground::Truth(size_t tenant) const {
   return mirrors_[tenant] != nullptr ? *mirrors_[tenant] : *truth_[tenant];
 }
 
-void Foreground::Worker(size_t index, Clock::time_point start) {
-  auto run = [&](size_t i) {
-    const Statement& st = traffic_.statements[i];
+void Foreground::Run(Clock::time_point start) {
+  // The worker waits for each due time by yielding in a loop. A thread that
+  // sleeps wakes up milliseconds late here (its idle virtual CPU is
+  // descheduled), and that lateness, not the program, would set the tail
+  // of sub-millisecond statements. Yielding keeps the wait from taking a
+  // core from a migration lane that needs one.
+  for (const Statement& st : traffic_.statements) {
     const Clock::time_point due =
         start + std::chrono::duration_cast<Clock::duration>(std::chrono::duration<double>(st.due_s));
-    // Busy-wait for the due time: a sleeping worker wakes up late by the
-    // sandbox's scheduling jitter, and that lateness would dominate the
-    // tail of sub-millisecond statements.
-    while (Clock::now() < due) {
-    }
-    Execute(st, due, index);
-  };
-  if (index < read_workers_) {
-    // Read workers share one queue: the next due read goes to whichever
-    // worker is free first.
-    for (size_t k = next_read_.fetch_add(1); k < reads_.size(); k = next_read_.fetch_add(1)) {
-      run(reads_[k]);
-    }
-    return;
+    while (Clock::now() < due) std::this_thread::yield();
+    Execute(st, due);
   }
-  for (size_t i : write_lanes_[index - read_workers_]) run(i);
 }
 
-void Foreground::Execute(const Statement& st, Clock::time_point due, size_t worker) {
-  ForegroundResult& r = results_[worker];
-  r.late_ms.push_back(std::chrono::duration<double, std::milli>(Clock::now() - due).count());
-  counts_.attempted.fetch_add(1);
+void Foreground::Execute(const Statement& st, Clock::time_point due) {
+  ForegroundResult& r = result_;
+  const Clock::time_point sent = Clock::now();
+  r.late_ms.push_back(std::chrono::duration<double, std::milli>(sent - due).count());
+  ++r.attempted;
   const Target& tg = targets_[st.tenant];
   Status status;
   const LogicalDml* issued = nullptr;
@@ -360,10 +363,9 @@ void Foreground::Execute(const Statement& st, Clock::time_point due, size_t work
       status = tg.router->Execute(*issued, *schema, pse::DmlExecOptions{});
     }
   }
-  const double ms = std::chrono::duration<double, std::milli>(Clock::now() - due).count();
+  const double ms = std::chrono::duration<double, std::milli>(Clock::now() - sent).count();
   if (!status.ok()) {
-    counts_.failed.fetch_add(1);
-    std::lock_guard<std::mutex> lock(error_mu_);
+    ++r.failed;
     if (first_error_.empty()) first_error_ = status.ToString();
     return;
   }

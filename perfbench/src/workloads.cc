@@ -7,19 +7,21 @@
 //     queries, a fixed list of writes, planner passes — spread over the
 //     run, on one thread;
 //   * fleet-tiny-rollout runs its open-loop foreground through each
-//     rollout window at a load a drift cannot push into queueing, so its
-//     latency quantiles cover the whole run, and each rollout takes a
-//     minority of its window: a latency median comes from steady serving,
-//     a p99 from the rollout.
+//     rollout window at a load a drift cannot push into queueing, and each
+//     rollout takes a minority of its window: a latency median comes from
+//     steady serving, a p99 from the rollout. Every time metric is a
+//     median over the run's cycles, so one disturbed cycle does not move it.
 //
 // Thread budget (4 = nproc on the reference machine):
 //   tpcw-phase-cost      main only
-//   fleet-tiny-rollout   main + 1 pool worker (two lanes) + 1 foreground worker
+//   fleet-tiny-rollout   one migration lane + one foreground worker
 #include <array>
 #include <cstdio>
+#include <functional>
 #include <shared_mutex>
 #include <thread>
 
+#include "analysis/writability.h"
 #include "bench.h"
 #include "fleet/scheduler.h"
 #include "tests/common/test_db_builder.h"
@@ -36,8 +38,11 @@ const pse::TpcwScale kPhaseCostScale{"100MB(1:20)", 3000, 6000};
 constexpr size_t kPhaseCostPool = 1024;
 constexpr int kPhaseCostSetups = 3;
 constexpr int kPhaseCostRounds = 6;
-/// Writes per round, one after another on the served database.
-constexpr size_t kPhaseCostWritesPerRound = 200;
+/// Writes per round on the served database, spread over the round's slot.
+constexpr size_t kPhaseCostWritesPerRound = 600;
+/// Write latency quantiles are taken per group of rounds (1200 writes, so
+/// a p99 has twelve beyond it) and the median over groups reported.
+constexpr size_t kPhaseCostWriteGroups = 3;
 /// Updates only: an INSERT there costs about 35 ms (its keyed lookups scan
 /// the 9000-row order_payment), which would dominate the run.
 constexpr std::array<double, 3> kPhaseCostWriteKinds = {0, 1, 0};
@@ -49,17 +54,20 @@ constexpr size_t kTinyInstances = 16;
 constexpr size_t kTinyPool = 64;
 constexpr uint64_t kTinyBatchRows = 16;
 constexpr uint64_t kTinyIoTokens = 2;
-constexpr size_t kTinyLanes = 2;
-/// Offered statements per second, all from one foreground worker that
-/// stays about a fifth busy; a 30 s run gets thousands of read and write
-/// samples, so each p99 has dozens beyond it. Two lanes and one worker
-/// leave a core free for the sandbox's noise.
-constexpr double kTinyRate = 600;
-constexpr double kTinyWriteShare = 0.5;
-constexpr size_t kTinyChecked = 8;  ///< tenants per cycle
+/// One lane: a second one keeps another core busy, and with two the
+/// rollout time spread about twice as much over five seeds (0.17-0.19
+/// against 0.10).
+constexpr size_t kTinyLanes = 1;
+/// Offered statements per second, all from one foreground worker; with the
+/// default write share each cycle of a 30 s run gets 4200 reads and 1050
+/// writes, so each cycle's p99 has ten or more samples beyond it.
+constexpr double kTinyRate = 700;
+/// A cycle's statements come in whole rounds of this many plus one
+/// lost-order probe, each round's probe on its own checked tenant.
+constexpr size_t kTinyRoundStatements = 250;
 /// Rollout cycles per run; each sets up the fleet and rolls it out in a
 /// window of (seconds / kTinyCycles) while the foreground runs.
-constexpr int kTinyCycles = 3;
+constexpr int kTinyCycles = 4;
 constexpr int kPlannerPassesPerCycle = 8;
 
 /// The TPC-W data is the same in every run (data set v of the fleet uses
@@ -126,19 +134,36 @@ struct StorageCounters {
 struct Accumulated {
   std::vector<double> setup_s, rollout_s;
   PlannerTiming planners;
-  ForegroundResult fg;
+  /// Foreground samples, one entry per cycle (tpcw-phase-cost: one per
+  /// group of rounds, the reads all in the first).
+  std::vector<ForegroundResult> fg;
   uint64_t attempted = 0, failed = 0;
   // Per-layer inputs beside the spans.
   StorageCounters storage;
   uint64_t batches = 0, io_pages = 0, io_peak = 0;
   pse::PlanCacheStats plan_cache;
 
-  void AddForeground(const Foreground& f, const ForegroundResult& r) {
-    fg.read_ms.insert(fg.read_ms.end(), r.read_ms.begin(), r.read_ms.end());
-    fg.write_ms.insert(fg.write_ms.end(), r.write_ms.begin(), r.write_ms.end());
-    fg.late_ms.insert(fg.late_ms.end(), r.late_ms.begin(), r.late_ms.end());
-    attempted += f.counts().attempted.load();
-    failed += f.counts().failed.load();
+  void AddForeground(ForegroundResult r) {
+    attempted += r.attempted;
+    failed += r.failed;
+    fg.push_back(std::move(r));
+  }
+  /// The median over cycles of each cycle's median of `samples` (cycles
+  /// without such samples left out).
+  double P50(std::vector<double> ForegroundResult::*samples) const {
+    std::vector<double> per_cycle;
+    for (const ForegroundResult& r : fg) {
+      if (!(r.*samples).empty()) per_cycle.push_back(Median(r.*samples));
+    }
+    return Median(per_cycle);
+  }
+  /// The median over cycles of each cycle's p99 of `samples`.
+  double P99(std::vector<double> ForegroundResult::*samples, const char* what) const {
+    std::vector<double> per_cycle;
+    for (const ForegroundResult& r : fg) {
+      if (!(r.*samples).empty()) per_cycle.push_back(TailP99(r.*samples, what));
+    }
+    return Median(per_cycle);
   }
   void AddPlanCache(uint64_t hits, uint64_t misses) {
     plan_cache.hits += hits;
@@ -150,10 +175,10 @@ struct Accumulated {
 void SetEndToEnd(MetricSink* m, const Accumulated& a, const ReplayOutcome& replay) {
   m->Set("setup_s", Median(a.setup_s), "s");
   m->Set("rollout_s", Median(a.rollout_s), "s");
-  m->Set("read_p50_ms", Quantile(a.fg.read_ms, 0.5), "ms");
-  m->Set("read_p99_ms", TailP99(a.fg.read_ms, "read latency"), "ms");
-  m->Set("write_p50_ms", Quantile(a.fg.write_ms, 0.5), "ms");
-  m->Set("write_p99_ms", TailP99(a.fg.write_ms, "write latency"), "ms");
+  m->Set("read_p50_ms", a.P50(&ForegroundResult::read_ms), "ms");
+  m->Set("read_p99_ms", a.P99(&ForegroundResult::read_ms, "read latency"), "ms");
+  m->Set("write_p50_ms", a.P50(&ForegroundResult::write_ms), "ms");
+  m->Set("write_p99_ms", a.P99(&ForegroundResult::write_ms, "write latency"), "ms");
   m->Set("peak_rss_mb", PeakRssMb(), "MB");
   m->Set("phase_cost_pages_laa", replay.phase_cost_laa, "pages");
   m->Set("phase_cost_pages_gaa", replay.phase_cost_gaa, "pages");
@@ -241,7 +266,7 @@ void SetPerLayer(MetricSink* m, const Accumulated& a, int setups, MigrationProbe
                                   static_cast<double>(st.statements),
          "ratio");
   m->Set("core.rewriter_dml.dual_applied_pct", Pct(st.dual_applied, st.statements), "%");
-  m->Set("load.late_ms_p99", TailP99(a.fg.late_ms, "generator lateness"), "ms");
+  m->Set("load.late_ms_p99", a.P99(&ForegroundResult::late_ms, "generator lateness"), "ms");
   m->Set("trace.rollout_s", Median(a.rollout_s), "s");
   m->Set("trace.spans", static_cast<double>(spans.size()), "count");
 
@@ -271,16 +296,34 @@ void Finish(RunResult* r, const Checker& checker, const Accumulated& a, int setu
 }
 
 
-/// Planner passes, one every kPlannerEvery_s, until `end`; at least one.
-Status PlanUntil(const Tpcw& w, const LogicalDatabase& data, Clock::time_point end,
-                 PlannerTiming* timing) {
+/// The rest of a round's slot, until `end`: `writes` calls of `write`
+/// spaced evenly over it, and between them a planner pass once every
+/// kPlannerEvery_s (at least one). Spreading the writes over the slot
+/// samples the machine's speed at many moments, so a slow second does not
+/// set their tail.
+Status WriteAndPlanUntil(const Tpcw& w, const LogicalDatabase& data, Clock::time_point end,
+                         size_t writes, const std::function<void(size_t)>& write,
+                         PlannerTiming* timing) {
+  const Clock::time_point begin = Clock::now();
   const auto every = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(kPlannerEvery_s));
-  do {
-    const Clock::time_point next = Clock::now() + every;
-    PSE_RETURN_NOT_OK(TimePlanners(w, data, 1, timing));
-    std::this_thread::sleep_until(next);
-  } while (Clock::now() + every <= end);
+  const size_t passes = std::max<size_t>(1, static_cast<size_t>((end - begin) / every));
+  const auto gap = (end - begin) / static_cast<int64_t>(writes + 1);
+  size_t k = 0, j = 0;
+  while (k < writes || j < passes) {
+    const Clock::time_point write_at = k < writes ? begin + gap * static_cast<int64_t>(k + 1)
+                                                  : Clock::time_point::max();
+    const Clock::time_point plan_at =
+        j < passes ? begin + every * static_cast<int64_t>(j) : Clock::time_point::max();
+    if (plan_at <= write_at) {
+      std::this_thread::sleep_until(plan_at);
+      PSE_RETURN_NOT_OK(TimePlanners(w, data, 1, timing));
+      ++j;
+    } else {
+      std::this_thread::sleep_until(write_at);
+      write(k++);
+    }
+  }
   return Status::OK();
 }
 
@@ -326,10 +369,9 @@ RunResult RunPhaseCost(const RunOptions& options) {
   }
 
   // The writes: a seeded list of updates, applied to the served database
-  // one after another, a share after each round, and to its mirror.
+  // a share spread over each round's slot, and to its mirror.
   TrafficConfig traffic_config;
-  traffic_config.rate = static_cast<double>(kPhaseCostWritesPerRound * kPhaseCostRounds);
-  traffic_config.seconds = 1;
+  traffic_config.statements = kPhaseCostWritesPerRound * kPhaseCostRounds;
   traffic_config.write_share = 1;
   traffic_config.write_kinds = kPhaseCostWriteKinds;
   traffic_config.scale = kPhaseCostScale;
@@ -345,6 +387,7 @@ RunResult RunPhaseCost(const RunOptions& options) {
   MigrationProbe probe;
   pse::SharedPlanCache rewrite_cache;
   ReplayOutcome first, last;
+  std::vector<ForegroundResult> groups(kPhaseCostWriteGroups);
   const Clock::time_point start = Clock::now();
   const double slot_s = options.seconds / kPhaseCostRounds;
   for (int round = 0; round < kPhaseCostRounds; ++round) {
@@ -367,13 +410,15 @@ RunResult RunPhaseCost(const RunOptions& options) {
                      "replay page counts differ between rounds");
     }
     acc.rollout_s.push_back(replay->apply_s);
-    acc.fg.read_ms.insert(acc.fg.read_ms.end(), replay->read_ms.begin(), replay->read_ms.end());
-    acc.attempted += replay->queries_run;
+    groups[0].read_ms.insert(groups[0].read_ms.end(), replay->read_ms.begin(),
+                             replay->read_ms.end());
+    groups[0].attempted += replay->queries_run;
     acc.batches += replay->batches;
     acc.io_pages += replay->migration_pages;
     (round == 0 ? first : last) = std::move(*replay);
 
-    for (size_t k = 0; k < kPhaseCostWritesPerRound; ++k) {
+    ForegroundResult& samples = groups[round * kPhaseCostWriteGroups / kPhaseCostRounds];
+    auto write = [&](size_t k) {
       const LogicalDml& dml = writes->statements[round * kPhaseCostWritesPerRound + k].dml;
       const int64_t t0 = NowNs();
       Status s;
@@ -382,21 +427,22 @@ RunResult RunPhaseCost(const RunOptions& options) {
         std::shared_lock<pse::SharedMutex> lock(served->schema_latch());
         s = router.Execute(dml, object);
       }
-      ++acc.attempted;
+      ++samples.attempted;
       if (!s.ok()) {
-        ++acc.failed;
-        continue;
+        ++samples.failed;
+        return;
       }
-      acc.fg.write_ms.push_back(static_cast<double>(NowNs() - t0) / 1e6);
+      samples.write_ms.push_back(static_cast<double>(NowNs() - t0) / 1e6);
       pse::testutil::MirrorApply(&mirror, dml);
-    }
-
-    Status planned = PlanUntil(w, *data, After(start, (round + 1) * slot_s), &acc.planners);
+    };
+    Status planned = WriteAndPlanUntil(w, *data, After(start, (round + 1) * slot_s),
+                                       kPhaseCostWritesPerRound, write, &acc.planners);
     if (!planned.ok()) {
       Fail(&r, "planners", planned);
       return r;
     }
   }
+  for (ForegroundResult& g : groups) acc.AddForeground(std::move(g));
   acc.storage.Add(served.get(), &router);
   // Disk pages are the replay's: the last (unchecked) round's LAA database.
   acc.storage.page_reads = last.page_reads;
@@ -442,10 +488,56 @@ Result<Fleet> SetUpFleet(const Tpcw& w) {
   return f;
 }
 
+/// The lost-order probe: an order inserted with no payment through the
+/// old version's `orders` table before the rollout, and a payment for it
+/// inserted through the old version's `cc_xacts` after it. The object
+/// schema keeps an order's columns only in its payments' rows, and the
+/// cc_xacts x orders combine does not carry an order that has no payment
+/// when it runs (see CHANGES.md), so on every tenant the payment arrives
+/// with NULL order columns where its mirror has the order's values. The
+/// keys lie past every key the foreground uses.
+struct LostOrderProbe {
+  LogicalDml order, payment;
+};
+
+LostOrderProbe MakeLostOrderProbe(const Tpcw& w) {
+  const pse::TpcwSchema& S = *w.schema;
+  LostOrderProbe p;
+  for (const pse::VersionTable& vt : pse::VersionTablesOf(S.source)) {
+    if (vt.anchor == S.orders) p.order.table = vt;
+    if (vt.anchor == S.cc_xacts) p.payment.table = vt;
+  }
+  const int64_t order_key = static_cast<int64_t>(kTinyScale.num_orders()) + 1000000;
+  p.order.key = order_key;
+  p.payment.key = order_key;
+  for (LogicalDml* dml : {&p.order, &p.payment}) {
+    dml->kind = pse::DmlKind::kInsert;
+    for (pse::AttrId a : dml->table.attrs) {
+      const pse::LogicalAttribute& attr = S.logical.attr(a);
+      dml->set_attrs.push_back(a);
+      dml->set_values.push_back(
+          attr.references == S.orders                  ? pse::Value::Int(order_key)
+          : attr.references.has_value()                ? pse::Value::Int(0)
+          : attr.type == pse::TypeId::kInt64           ? pse::Value::Int(20080101)
+          : attr.type == pse::TypeId::kDouble          ? pse::Value::Double(1.0)
+                                                       : pse::Value::Varchar("PENDING"));
+    }
+  }
+  return p;
+}
+
+/// Runs `dml` on a tenant at its published schema, as the foreground does.
+bool Acknowledged(pse::TenantShard* shard, const LogicalDml& dml) {
+  std::shared_lock<pse::SharedMutex> lock(shard->db()->schema_latch());
+  return shard->router()->Execute(dml, *shard->serving()->Get()).ok();
+}
+
 /// One cycle's window: the foreground replays `traffic` while the tenants
-/// walk the schedule under one FleetScheduler; then the checks.
-void RollOut(const Tpcw& w, Fleet* f, const Traffic& traffic, MigrationProbe* probe,
-             Accumulated* acc, Checker* checker) {
+/// walk the schedule under one FleetScheduler; then the checks. Before the
+/// window, the lost-order probe goes to one tenant per round of the
+/// schedule; those tenants are the ones checked against their mirrors.
+void RollOut(const Tpcw& w, Fleet* f, const Traffic& traffic, const LostOrderProbe& lost,
+             MigrationProbe* probe, Accumulated* acc, Checker* checker) {
   const pse::FleetSchedule& schedule = f->schedule;
   pse::FleetScheduler fleet(schedule, f->cache.get());
   std::vector<pse::TenantShard*> shards;
@@ -473,9 +565,16 @@ void RollOut(const Tpcw& w, Fleet* f, const Traffic& traffic, MigrationProbe* pr
     Tracer::Get().Record("hook.on_shard_op", start, NowNs());
   };
 
+  const size_t rounds = traffic.statements.size() / kTinyRoundStatements;
+  std::vector<size_t> probed;
+  std::vector<bool> order_acked;
+  for (size_t k = 0; k < rounds; ++k) {
+    probed.push_back(k * kTinyTenants / rounds);
+    order_acked.push_back(Acknowledged(shards[probed.back()], lost.order));
+  }
+
   const pse::PlanCacheStats cache_before = f->cache->Snapshot();
-  Foreground fg(w, traffic, targets, truth, f->cache.get(), /*read_workers=*/0,
-                /*write_workers=*/1);
+  Foreground fg(w, traffic, targets, truth, f->cache.get());
   const int64_t start_ns = NowNs();
   probe->set_default_start(start_ns);
   fg.Start();
@@ -485,7 +584,7 @@ void RollOut(const Tpcw& w, Fleet* f, const Traffic& traffic, MigrationProbe* pr
   }();
   acc->rollout_s.push_back(static_cast<double>(probe->last_publish_ns() - start_ns) / 1e9);
   ForegroundResult result = fg.Join();
-  acc->AddForeground(fg, result);
+  acc->AddForeground(std::move(result));
   const pse::PlanCacheStats cache_after = f->cache->Snapshot();
   acc->AddPlanCache(cache_after.hits - cache_before.hits,
                     cache_after.misses - cache_before.misses);
@@ -508,9 +607,27 @@ void RollOut(const Tpcw& w, Fleet* f, const Traffic& traffic, MigrationProbe* pr
         shard->step() == schedule.steps() && shard->published_step() == schedule.steps(),
         "tenant " + std::to_string(shard->id()) + " did not publish the last step");
   }
-  for (size_t k = 0; k < kTinyChecked; ++k) {
-    const size_t t = k * kTinyTenants / kTinyChecked;
-    CheckAgainstTruth(shards[t]->db(), shards[t]->CurrentSchema(), fg.Truth(t), w,
+  // The probe's payment follows the rollout. The order's data survived
+  // when the tenant then equals its mirror with both inserts; when it
+  // equals the mirror with the payment alone, the order was lost and counts
+  // as one failed statement.
+  for (size_t k = 0; k < probed.size(); ++k) {
+    const size_t t = probed[k];
+    const bool payment_acked = Acknowledged(shards[t], lost.payment);
+    LogicalDatabase without = fg.Truth(t);
+    if (payment_acked) pse::testutil::MirrorApply(&without, lost.payment);
+    LogicalDatabase with = fg.Truth(t);
+    if (order_acked[k]) pse::testutil::MirrorApply(&with, lost.order);
+    if (payment_acked) pse::testutil::MirrorApply(&with, lost.payment);
+    const bool kept =
+        order_acked[k] && TablesMatch(shards[t]->db(), shards[t]->CurrentSchema(), with);
+    acc->attempted += 2;
+    acc->failed += (kept ? 0 : 1) + (payment_acked ? 0 : 1);
+    if (!kept && k == 0) {
+      std::fprintf(stderr, "lost-order probe: tenant %zu lost order %lld in the rollout\n", t,
+                   static_cast<long long>(lost.order.key));
+    }
+    CheckAgainstTruth(shards[t]->db(), shards[t]->CurrentSchema(), kept ? with : without, w,
                       "tenant " + std::to_string(t), checker);
   }
 }
@@ -544,6 +661,7 @@ RunResult RunFleetRollout(const RunOptions& options) {
 
   MigrationProbe probe;
   Traffic traffic;
+  const LostOrderProbe lost = MakeLostOrderProbe(w);
   for (int cycle = 0; cycle < kTinyCycles; ++cycle) {
     Clock::time_point t0 = Clock::now();
     Result<Fleet> fleet = SetUpFleet(w);
@@ -554,10 +672,12 @@ RunResult RunFleetRollout(const RunOptions& options) {
     }
     if (cycle == 0) {
       // Every cycle replays the same statement schedule.
+      // Whole rounds that fill the cycle's window at the offered rate.
+      const size_t rounds = std::max<size_t>(
+          1, static_cast<size_t>(kTinyRate * options.seconds / kTinyCycles) / kTinyRoundStatements);
       TrafficConfig traffic_config;
+      traffic_config.statements = rounds * kTinyRoundStatements;
       traffic_config.rate = kTinyRate;
-      traffic_config.seconds = options.seconds / kTinyCycles;
-      traffic_config.write_share = kTinyWriteShare;
       traffic_config.tenants = kTinyTenants;
       traffic_config.scale = kTinyScale;
       Result<Traffic> made =
@@ -568,7 +688,7 @@ RunResult RunFleetRollout(const RunOptions& options) {
       }
       traffic = std::move(*made);
     }
-    RollOut(w, &*fleet, traffic, &probe, &acc, &checker);
+    RollOut(w, &*fleet, traffic, lost, &probe, &acc, &checker);
     // Planner passes between windows, on a quiet machine.
     Status planned =
         TimePlanners(w, *fleet->instances[0], kPlannerPassesPerCycle, &acc.planners);
