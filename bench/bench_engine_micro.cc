@@ -2,14 +2,14 @@
 // is built on — B+ tree inserts/lookups, heap scans, hash vs
 // index-nested-loop joins, and the analytical cost estimator itself (which
 // LAA/GAA call thousands of times per migration point), via
-// google-benchmark; plus a row-vs-vectorized engine comparison harness.
+// google-benchmark; plus an engine comparison harness.
 //
 // Invoked with --json=PATH the binary skips the google-benchmark suite and
-// instead times the same scan->filter->project plan through both engines
-// (and the row engine's zero-copy projection fast path on and off), prints
-// a side-by-side table, and emits BENCH_engine_micro.json for
-// scripts/bench.sh, which asserts the vectorized engine's >= 2x throughput
-// floor.
+// instead times the same scan->filter->project plan through the batch
+// engine and the reference row engine (tests/reference), prints a
+// side-by-side table, and emits BENCH_engine_micro.json for
+// scripts/bench.sh, which asserts the batch engine's >= 2x throughput
+// floor over the reference.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -21,6 +21,7 @@
 #include "engine/executor.h"
 #include "engine/planner.h"
 #include "tests/engine/engine_test_util.h"
+#include "tests/reference/row_engine.h"
 #include "tpcw/datagen.h"
 #include "tpcw/queries.h"
 #include "tpcw/schema.h"
@@ -90,14 +91,12 @@ void BM_HashJoinExec(benchmark::State& state) {
   q.select_items.emplace_back(Col("sale.sale_id"), AggFunc::kNone, "id");
   DatabaseCatalogView view(db.get());
   auto plan = PlanQuery(q, view);
-  ExecOptions eo;
-  eo.vectorized = state.range(0) != 0;
   for (auto _ : state) {
-    auto rows = ExecutePlan(**plan, db.get(), eo);
+    auto rows = ExecutePlan(**plan, db.get());
     benchmark::DoNotOptimize(rows);
   }
 }
-BENCHMARK(BM_HashJoinExec)->Arg(0)->Arg(1)->ArgNames({"vectorized"});
+BENCHMARK(BM_HashJoinExec);
 
 void BM_TpcwQueryRewrite(benchmark::State& state) {
   auto schema = BuildTpcwSchema();
@@ -135,17 +134,16 @@ void BM_CostEstimateQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_CostEstimateQuery);
 
-// --- row vs vectorized comparison harness (--json mode) ---
+// --- batch vs reference row engine comparison harness (--json mode) ---
 
-/// One engine-vs-engine measurement: the same plan executed `reps` times
-/// through each configuration.
+/// The same plan executed `reps` times through each engine.
 struct EngineCompare {
-  size_t rows = 0;          ///< rows the scan feeds into the pipeline
-  size_t out_rows = 0;      ///< rows surviving the filter (sanity cross-check)
+  size_t rows = 0;      ///< rows the scan feeds into the pipeline
+  size_t out_rows = 0;  ///< rows surviving the filter (sanity cross-check)
   size_t reps = 0;
-  double base_ms = 0;       ///< baseline configuration wall time
-  double contender_ms = 0;  ///< contender configuration wall time
-  double speedup() const { return contender_ms > 0 ? base_ms / contender_ms : 0.0; }
+  double row_ms = 0;    ///< reference row engine wall time
+  double batch_ms = 0;  ///< production batch engine wall time
+  double speedup() const { return batch_ms > 0 ? row_ms / batch_ms : 0.0; }
 };
 
 /// Builds t(id, a, b, s) with `rows` rows in an in-memory pool big enough
@@ -167,13 +165,13 @@ std::unique_ptr<Database> MakeWideTable(size_t rows) {
   return db;
 }
 
-/// Times `plan` under `eo`, returning total wall ms over `reps` runs and
-/// checking every run returns `want_rows` rows.
-double TimePlan(const PlanNode& plan, Database* db, const ExecOptions& eo, size_t reps,
-                size_t want_rows, int* rc) {
+/// Times `run()` `reps` times, returning total wall ms and checking every
+/// run returns `want_rows` rows.
+template <typename Run>
+double TimePlan(Run run, size_t reps, size_t want_rows, int* rc) {
   Stopwatch timer;
   for (size_t r = 0; r < reps; ++r) {
-    auto rows = ExecutePlan(plan, db, eo);
+    Result<std::vector<Row>> rows = run();
     if (!rows.ok() || rows->size() != want_rows) {
       std::fprintf(stderr, "engine micro run failed: %s (%zu rows, want %zu)\n",
                    rows.ok() ? "row-count mismatch" : rows.status().ToString().c_str(),
@@ -204,79 +202,38 @@ int RunScanFilterProject(size_t rows, size_t reps, EngineCompare* out) {
     std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
     return 1;
   }
-  ExecOptions row_eo;
-  row_eo.vectorized = false;
-  auto want = ExecutePlan(**plan, db.get(), row_eo);
+  auto want = reference::ExecutePlan(**plan, db.get());
   if (!want.ok()) {
-    std::fprintf(stderr, "row run: %s\n", want.status().ToString().c_str());
+    std::fprintf(stderr, "reference run: %s\n", want.status().ToString().c_str());
     return 1;
   }
   int rc = 0;
   out->rows = rows;
   out->out_rows = want->size();
   out->reps = reps;
-  out->base_ms = TimePlan(**plan, db.get(), row_eo, reps, want->size(), &rc);
-  ExecOptions vec_eo;
-  vec_eo.vectorized = true;
-  out->contender_ms = TimePlan(**plan, db.get(), vec_eo, reps, want->size(), &rc);
+  out->row_ms = TimePlan([&] { return reference::ExecutePlan(**plan, db.get()); }, reps,
+                         want->size(), &rc);
+  out->batch_ms =
+      TimePlan([&] { return ExecutePlan(**plan, db.get()); }, reps, want->size(), &rc);
   return rc;
 }
 
-/// The row engine's zero-copy projection fast path on vs off: SELECT id, a
-/// FROM t (every projection is a pass-through column reference).
-int RunZeroCopyProject(size_t rows, size_t reps, EngineCompare* out) {
-  auto db = MakeWideTable(rows);
-  if (db == nullptr) return 1;
-  BoundQuery q;
-  q.tables.push_back(TableAccess("t", {"id", "a"}));
-  q.select_items.emplace_back(Col("t.id"), AggFunc::kNone, "id");
-  q.select_items.emplace_back(Col("t.a"), AggFunc::kNone, "a");
-  DatabaseCatalogView view(db.get());
-  auto plan = PlanQuery(q, view);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "plan: %s\n", plan.status().ToString().c_str());
-    return 1;
-  }
-  int rc = 0;
-  ExecOptions off;
-  off.vectorized = false;
-  off.zero_copy_project = false;
-  ExecOptions on;
-  on.vectorized = false;
-  on.zero_copy_project = true;
-  out->rows = rows;
-  out->out_rows = rows;
-  out->reps = reps;
-  out->base_ms = TimePlan(**plan, db.get(), off, reps, rows, &rc);
-  out->contender_ms = TimePlan(**plan, db.get(), on, reps, rows, &rc);
-  return rc;
-}
-
-void WriteEngineJson(const std::string& path, const EngineCompare& sfp,
-                     const EngineCompare& zc) {
+void WriteEngineJson(const std::string& path, const EngineCompare& sfp) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  double row_rps = sfp.base_ms > 0
-                       ? static_cast<double>(sfp.rows) * static_cast<double>(sfp.reps) /
-                             (sfp.base_ms / 1000.0)
-                       : 0.0;
-  double vec_rps = sfp.contender_ms > 0
-                       ? static_cast<double>(sfp.rows) * static_cast<double>(sfp.reps) /
-                             (sfp.contender_ms / 1000.0)
-                       : 0.0;
+  const double rows = static_cast<double>(sfp.rows) * static_cast<double>(sfp.reps);
+  double row_rps = sfp.row_ms > 0 ? rows / (sfp.row_ms / 1000.0) : 0.0;
+  double batch_rps = sfp.batch_ms > 0 ? rows / (sfp.batch_ms / 1000.0) : 0.0;
   std::fprintf(f,
                "{\n  \"bench\": \"engine_micro\",\n"
                "  \"scan_filter_project\": {\"rows\": %zu, \"out_rows\": %zu, \"reps\": %zu, "
                "\"row_ms\": %.2f, \"vectorized_ms\": %.2f, \"row_rows_per_s\": %.0f, "
-               "\"vectorized_rows_per_s\": %.0f, \"speedup\": %.3f},\n"
-               "  \"zero_copy_project\": {\"rows\": %zu, \"reps\": %zu, \"off_ms\": %.2f, "
-               "\"on_ms\": %.2f, \"speedup\": %.3f}\n}\n",
-               sfp.rows, sfp.out_rows, sfp.reps, sfp.base_ms, sfp.contender_ms, row_rps,
-               vec_rps, sfp.speedup(), zc.rows, zc.reps, zc.base_ms, zc.contender_ms,
-               zc.speedup());
+               "\"vectorized_rows_per_s\": %.0f, \"speedup\": %.3f}\n}\n",
+               sfp.rows, sfp.out_rows, sfp.reps, sfp.row_ms, sfp.batch_ms, row_rps,
+               batch_rps, sfp.speedup());
   std::fclose(f);
   std::printf("\nwrote %s\n", path.c_str());
 }
@@ -287,20 +244,13 @@ int RunEngineCompare(const std::string& json_path) {
   constexpr size_t kReps = 20;
   EngineCompare sfp;
   int rc = RunScanFilterProject(kRows, kReps, &sfp);
-  EngineCompare zc;
-  rc |= RunZeroCopyProject(kRows, kReps, &zc);
 
-  std::printf("=== engine micro: row vs vectorized (scan->filter->project, %zu rows x %zu) "
-              "===\n%-24s %10s %10s %8s\n",
-              kRows, kReps, "pipeline", "row-ms", "vec-ms", "speedup");
-  std::printf("%-24s %10.1f %10.1f %7.2fx\n", "scan-filter-project", sfp.base_ms,
-              sfp.contender_ms, sfp.speedup());
-  std::printf("\n=== row engine: zero-copy projection fast path (SELECT id, a, %zu rows x %zu) "
-              "===\n%-24s %10s %10s %8s\n",
-              kRows, kReps, "pipeline", "off-ms", "on-ms", "speedup");
-  std::printf("%-24s %10.1f %10.1f %7.2fx\n", "scan-project", zc.base_ms, zc.contender_ms,
-              zc.speedup());
-  if (!json_path.empty()) WriteEngineJson(json_path, sfp, zc);
+  std::printf("=== engine micro: reference row engine vs batch engine "
+              "(scan->filter->project, %zu rows x %zu) ===\n%-24s %10s %10s %8s\n",
+              kRows, kReps, "pipeline", "row-ms", "batch-ms", "speedup");
+  std::printf("%-24s %10.1f %10.1f %7.2fx\n", "scan-filter-project", sfp.row_ms,
+              sfp.batch_ms, sfp.speedup());
+  if (!json_path.empty()) WriteEngineJson(json_path, sfp);
   return rc;
 }
 

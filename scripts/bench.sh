@@ -76,20 +76,6 @@ if [ "${peak_qps:-0}" -lt 1000 ]; then
   exit 1
 fi
 echo "== bench: peak concurrent-serving throughput ${peak_qps} qps (floor 1000) =="
-# The serving sweep runs every session count under both engines; the
-# vectorized lanes must be present and clear the same floor on their own.
-grep -q '"vectorized": true' BENCH_laa_scaling.json || {
-  echo "concurrent serving has no vectorized-engine rows" >&2
-  exit 1
-}
-vec_peak_qps="$(grep '"vectorized": true' BENCH_laa_scaling.json \
-  | grep -o '"throughput_qps": [0-9.]*' \
-  | awk '{ if ($2 > m) m = $2 } END { printf "%d", m }')"
-if [ "${vec_peak_qps:-0}" -lt 1000 ]; then
-  echo "vectorized serving peak throughput ${vec_peak_qps} qps is below the 1000 qps floor" >&2
-  exit 1
-fi
-echo "== bench: peak vectorized serving throughput ${vec_peak_qps} qps (floor 1000) =="
 # The mixed read/write section must be present, the writer lanes must have
 # applied real statements through the write rewriter, and no row may report
 # a non-bind failure (unservable write windows are counted, never errors).
@@ -109,37 +95,28 @@ if sed -n '/"mixed_rw_serving"/,$p' BENCH_laa_scaling.json | grep -Eq '"errors":
   exit 1
 fi
 
-echo "== bench: engine micro (row vs vectorized execution) =="
+echo "== bench: engine micro (batch engine vs reference row engine) =="
 "$build_dir"/bench/bench_engine_micro --json=BENCH_engine_micro.json
 
 echo "== bench: validating BENCH_engine_micro.json =="
-for key in '"scan_filter_project"' '"zero_copy_project"' '"row_ms"' '"vectorized_ms"' \
-  '"row_rows_per_s"' '"vectorized_rows_per_s"' '"speedup"'; do
+for key in '"scan_filter_project"' '"row_ms"' '"vectorized_ms"' '"row_rows_per_s"' \
+  '"vectorized_rows_per_s"' '"speedup"'; do
   grep -q "$key" BENCH_engine_micro.json || {
     echo "engine micro JSON is missing the key $key" >&2
     exit 1
   }
 done
-# The vectorized engine must beat the row engine by at least 2x on the
-# scan->filter->project micro (column-pruned batch decode vs per-row
-# full-tuple deserialization); anything less means the batch path lost its
-# structural edge.
+# The batch engine must beat the reference row engine (tests/reference) by
+# at least 2x on the scan->filter->project micro (column-pruned batch decode
+# vs per-row full-tuple deserialization); anything less means the batch path
+# lost its structural edge.
 sfp_speedup="$(grep '"scan_filter_project"' BENCH_engine_micro.json \
   | grep -o '"speedup": [0-9.]*' | awk '{print $2}')"
 if ! awk -v s="${sfp_speedup:-0}" 'BEGIN { exit !(s >= 2.0) }'; then
-  echo "vectorized scan-filter-project speedup ${sfp_speedup}x is below the 2.0x floor" >&2
+  echo "batch engine scan-filter-project speedup ${sfp_speedup}x is below the 2.0x floor" >&2
   exit 1
 fi
-echo "== bench: vectorized scan-filter-project speedup ${sfp_speedup}x (floor 2.0x) =="
-# The row engine's zero-copy projection fast path must not regress below the
-# copying path it replaces.
-zc_speedup="$(grep '"zero_copy_project"' BENCH_engine_micro.json \
-  | grep -o '"speedup": [0-9.]*' | awk '{print $2}')"
-if ! awk -v s="${zc_speedup:-0}" 'BEGIN { exit !(s >= 1.0) }'; then
-  echo "zero-copy projection fast path is slower than the copying path (${zc_speedup}x)" >&2
-  exit 1
-fi
-echo "== bench: zero-copy projection fast path ${zc_speedup}x =="
+echo "== bench: batch engine scan-filter-project speedup ${sfp_speedup}x (floor 2.0x) =="
 
 echo "== bench: fleet (1024 tenant shards under one scheduler) =="
 "$build_dir"/bench/bench_fleet --json=BENCH_fleet.json

@@ -116,14 +116,14 @@ if command -v clang-tidy >/dev/null 2>&1; then
     ':!src/engine/tuple_batch.cc' ':!src/engine/expr_vec.cc' ':!src/engine/vec_executor.cc')
   clang-tidy -p "$build_dir" --quiet "${tidy_files[@]}"
   # The analysis module and the concurrency/costing/online-migration targets
-  # — plus the vectorized engine, whose per-batch latching rides the same
-  # discipline — are held to a stricter bar: any enabled check firing there
+  # — plus the batch execution engine, whose per-batch latching rides the
+  # same discipline — are held to a stricter bar: any enabled check firing there
   # fails the gate outright.
   # (the write rewriter, src/core/rewriter_dml.cc, rides the strict set too:
   # its fan-out writes and frontier dual-apply share the migration executor's
   # latching discipline, as does the whole fleet layer — scheduler lanes,
   # shard advance, the shared plan cache)
-  echo "== check: clang-tidy (strict, warnings-as-errors) over src/analysis/ + concurrency + migration + write-rewriter + vectorized-engine + fleet targets =="
+  echo "== check: clang-tidy (strict, warnings-as-errors) over src/analysis/ + concurrency + migration + write-rewriter + batch-engine + fleet targets =="
   mapfile -t strict_files < <(git ls-files 'src/analysis/*.cc' \
     'src/common/thread_pool.cc' 'src/common/lock_registry.cc' \
     'src/engine/cost_cache.cc' 'src/core/cost_estimator.cc' \

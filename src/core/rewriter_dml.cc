@@ -89,33 +89,17 @@ Result<std::vector<std::pair<Rid, Row>>> MatchRows(Database* db, const std::stri
 }
 
 /// First row whose `col` SqlEquals `v` and (when `want_col` is set) whose
-/// `*want_col` is non-NULL; values only. The vectorized flavour pulls rows
-/// through the batched page decode (one pin per page) instead of one pin per
-/// tuple — the lookup-side counterpart of the vectorized scan.
+/// `*want_col` is non-NULL; values only.
 Result<std::optional<Row>> FindFirst(Database* db, const std::string& table, size_t col,
-                                     const Value& v, std::optional<size_t> want_col,
-                                     bool vectorized) {
+                                     const Value& v, std::optional<size_t> want_col) {
   PSE_ASSIGN_OR_RETURN(TableInfo * info, db->GetTable(table));
   std::shared_lock<SharedMutex> latch(info->latch);
-  auto hit = [&](const Row& row) {
-    if (col >= row.size() || !row[col].SqlEquals(v)) return false;
-    return !want_col || (*want_col < row.size() && !row[*want_col].is_null());
-  };
-  if (vectorized) {
-    auto it = info->heap->Begin();
-    std::vector<Row> batch;
-    while (!it.AtEnd()) {
-      batch.clear();
-      PSE_ASSIGN_OR_RETURN(size_t n, it.FillBatch(256, &batch));
-      if (n == 0) break;
-      for (Row& row : batch) {
-        if (hit(row)) return std::optional<Row>(std::move(row));
-      }
-    }
-    return std::optional<Row>();
-  }
   for (auto it = info->heap->Begin(); !it.AtEnd();) {
-    if (hit(it.row())) return std::optional<Row>(it.row());
+    const Row& row = it.row();
+    if (col < row.size() && row[col].SqlEquals(v) &&
+        (!want_col || (*want_col < row.size() && !row[*want_col].is_null()))) {
+      return std::optional<Row>(row);
+    }
     PSE_RETURN_NOT_OK(it.Next());
   }
   return std::optional<Row>();
@@ -129,7 +113,6 @@ struct ResolveCtx {
   const PhysicalSchema* schema = nullptr;
   const ProvenanceStore* prov = nullptr;
   const std::map<AttrId, Value>* provided = nullptr;  ///< statement values
-  bool vectorized = false;
 };
 
 Result<Value> ResolveEntityAttr(const ResolveCtx& ctx, EntityId e, const Value& key, AttrId a);
@@ -145,7 +128,7 @@ Result<bool> EntityRowExists(const ResolveCtx& ctx, EntityId e, const Value& key
   for (const PhysicalTable& t : ctx.schema->tables()) {
     if (!t.Contains(key_attr)) continue;
     PSE_ASSIGN_OR_RETURN(size_t kc, ColOf(lg, t, key_attr));
-    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, t.name, kc, key, std::nullopt, ctx.vectorized));
+    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, t.name, kc, key, std::nullopt));
     if (row.has_value()) return true;
   }
   if (ctx.prov && key.type() == TypeId::kInt64 && ctx.prov->Has(e, key.AsInt())) return true;
@@ -171,9 +154,9 @@ Result<Value> ResolveEntityAttr(const ResolveCtx& ctx, EntityId e, const Value& 
     // Anchored fragment: the keyed row. Denormalized: any sibling row that
     // references the same entity row (keyed on the entity's key column, so
     // dangling rows never contribute) and has the value.
-    PSE_ASSIGN_OR_RETURN(auto row, FindFirst(ctx.db, t.name, kc, key,
-                                             t.anchor == e ? std::nullopt : std::optional<size_t>(ac),
-                                             ctx.vectorized));
+    PSE_ASSIGN_OR_RETURN(
+        auto row, FindFirst(ctx.db, t.name, kc, key,
+                            t.anchor == e ? std::nullopt : std::optional<size_t>(ac)));
     if (row.has_value()) return (*row)[ac];
   }
   if (ctx.prov && key.type() == TypeId::kInt64) {
@@ -654,7 +637,7 @@ Status DmlRouter::BackfillProvenance() {
 }
 
 Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
-                          const DmlExecOptions& opts) {
+                          const DmlExecOptions&) {
   PSE_LOCKDEP_SCOPE("DmlRouter::Execute");
   // Rewriting is pure; only the applies need the statement-scope mutex.
   // BindError (unservable on the live schema) surfaces before any lock so
@@ -664,7 +647,7 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
   std::lock_guard<Mutex> lock(write_mu_);
   std::map<AttrId, Value> provided;
   for (size_t i = 0; i < dml.set_attrs.size(); ++i) provided[dml.set_attrs[i]] = dml.set_values[i];
-  ResolveCtx ctx{db_, &current, provenance_, &provided, opts.vectorized};
+  ResolveCtx ctx{db_, &current, provenance_, &provided};
 
   // Entity-level statement guards: UPDATE/DELETE of a row that does not
   // exist is a no-op; INSERT of an existing key is ignored (idempotent under
@@ -722,13 +705,13 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
     }
   }
 
-  PSE_RETURN_NOT_OK(ApplyBound(bound, current, current, parent_exists, opts,
-                               /*dest_mode=*/false));
+  PSE_RETURN_NOT_OK(
+      ApplyBound(bound, current, current, parent_exists, /*dest_mode=*/false));
   if (after_ != nullptr) {
     // Always-dual-apply: the statement lands on the post-op layout too,
     // restricted to the journal targets (shared tables already got it).
     PSE_ASSIGN_OR_RETURN(BoundDml bound_after, RewriteDml(dml, *after_));
-    PSE_RETURN_NOT_OK(ApplyBound(bound_after, *after_, current, parent_exists, opts,
+    PSE_RETURN_NOT_OK(ApplyBound(bound_after, *after_, current, parent_exists,
                                  /*dest_mode=*/true));
     ++stats_.dual_applied;
   }
@@ -742,7 +725,7 @@ Status DmlRouter::Execute(const LogicalDml& dml, const PhysicalSchema& current,
 Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema,
                              const PhysicalSchema& truth,
                              const std::map<EntityId, bool>& parent_exists,
-                             const DmlExecOptions& opts, bool dest_mode) {
+                             bool dest_mode) {
   const LogicalSchema& lg = *schema.logical();
   std::map<AttrId, Value> provided;
   for (size_t i = 0; i < bound.dml.set_attrs.size(); ++i) {
@@ -766,7 +749,7 @@ Status DmlRouter::ApplyBound(const BoundDml& bound, const PhysicalSchema& schema
   // The ladder always reads the *current* schema's data (`truth`) — during
   // dual-apply the source side stays authoritative until the operator
   // publishes, so dest writes resolve against it, not the post-op layout.
-  ResolveCtx ctx{db_, &truth, provenance_, &provided, opts.vectorized};
+  ResolveCtx ctx{db_, &truth, provenance_, &provided};
 
   MigrationJournal* j = db_->mutable_migration_journal();
   auto bump_dest = [&](TargetState* ts, int64_t delta) {
@@ -1114,7 +1097,7 @@ Result<bool> SqlDmlBridge::OnInsert(const InsertStmt& stmt, uint64_t* affected) 
       return Status::InvalidArgument("INSERT into version table '" + vt->name +
                                      "' must provide the key column '" + key_name + "'");
     }
-    PSE_RETURN_NOT_OK(router_->Execute(dml, *schema, opts_));
+    PSE_RETURN_NOT_OK(router_->Execute(dml, *schema));
     ++done;
   }
   *affected = done;
@@ -1161,7 +1144,7 @@ Result<bool> SqlDmlBridge::OnUpdate(const UpdateStmt& stmt, uint64_t* affected) 
                                      vt->name + "'");
     }
   }
-  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema, opts_));
+  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema));
   *affected = 1;
   return true;
 }
@@ -1180,7 +1163,7 @@ Result<bool> SqlDmlBridge::OnDelete(const DeleteStmt& stmt, uint64_t* affected) 
   dml.kind = DmlKind::kDelete;
   dml.table = *vt;
   PSE_ASSIGN_OR_RETURN(dml.key, LiftKeyEq(stmt.where.get(), key_name, vt->name));
-  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema, opts_));
+  PSE_RETURN_NOT_OK(router_->Execute(dml, *schema));
   *affected = 1;
   return true;
 }

@@ -171,10 +171,9 @@ class ProvenanceStore {
   std::map<std::pair<EntityId, int64_t>, std::map<AttrId, Value>> rows_;
 };
 
-struct DmlExecOptions {
-  /// Route the row-matching scans through the batched heap reads.
-  bool vectorized = false;
-};
+/// Per-statement execution knobs for DmlRouter::Execute. There are none
+/// today: every statement takes the same path.
+struct DmlExecOptions {};
 
 /// Cumulative counters of one router (read without synchronization —
 /// inspect them from quiesced code or accept approximate values).
@@ -257,7 +256,7 @@ class DmlRouter {
   /// shared key sets / journal row counts are maintained.
   Status ApplyBound(const BoundDml& bound, const PhysicalSchema& schema,
                     const PhysicalSchema& truth, const std::map<EntityId, bool>& parent_exists,
-                    const DmlExecOptions& opts, bool dest_mode);
+                    bool dest_mode);
 
   Database* db_;
   ProvenanceStore owned_provenance_;
@@ -287,9 +286,9 @@ class SqlDmlBridge : public SessionDmlHook {
   /// ServingSchema::Get, so the bridge follows live migration publishes.
   using SchemaProvider = std::function<std::shared_ptr<const PhysicalSchema>()>;
 
-  SqlDmlBridge(DmlRouter* router, std::vector<VersionTable> tables, SchemaProvider current,
-               DmlExecOptions opts = {})
-      : router_(router), tables_(std::move(tables)), current_(std::move(current)), opts_(opts) {}
+  SqlDmlBridge(DmlRouter* router, std::vector<VersionTable> tables,
+               SchemaProvider current)
+      : router_(router), tables_(std::move(tables)), current_(std::move(current)) {}
 
   Result<bool> OnInsert(const InsertStmt& stmt, uint64_t* affected) override;
   Result<bool> OnUpdate(const UpdateStmt& stmt, uint64_t* affected) override;
@@ -302,7 +301,6 @@ class SqlDmlBridge : public SessionDmlHook {
   DmlRouter* router_;
   std::vector<VersionTable> tables_;
   SchemaProvider current_;
-  DmlExecOptions opts_;
 };
 
 }  // namespace pse

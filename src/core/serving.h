@@ -41,10 +41,6 @@ struct ServeOptions {
   /// Base RNG seed; lane l draws from seed + l, so a window's query mix is
   /// reproducible given (seed, sessions).
   uint64_t seed = 42;
-  /// Execute foreground queries through the vectorized batch engine instead
-  /// of the row-at-a-time iterators. Either engine serves every rewritten
-  /// query; the PSE_VECTORIZED environment variable forces this on.
-  bool vectorized = false;
 
   // -- writer lanes (the write half of the serve mix; DESIGN.md §19) --
 

@@ -91,9 +91,7 @@ Result<double> MigrationSimulation::MeasureQuery(Database* db, const PhysicalSch
   PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
   PSE_RETURN_NOT_OK(db->pool()->EvictAll());
   uint64_t before = db->TotalIo();
-  ExecOptions eo = ExecOptions::Default();
-  eo.vectorized = eo.vectorized || config_.vectorized_execution;
-  PSE_RETURN_NOT_OK(ExecutePlan(*plan, db, eo).status());
+  PSE_RETURN_NOT_OK(ExecutePlan(*plan, db).status());
   return static_cast<double>(db->TotalIo() - before);
 }
 
@@ -292,7 +290,6 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
       so.sessions = config_.serve_sessions;
       so.min_queries_per_lane = config_.serve_min_queries;
       so.seed = config_.serve_seed + p;
-      so.vectorized = config_.vectorized_execution;
       uint64_t mig_io = 0;
       auto migrate = [&]() -> Status {
         for (int op : to_apply) {
@@ -360,9 +357,7 @@ Result<SituationReport> MigrationSimulation::Run(Situation situation) {
         DatabaseCatalogView view(&db);
         PSE_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(*bound, view));
         uint64_t before = db.TotalIo();
-        ExecOptions eo = ExecOptions::Default();
-        eo.vectorized = eo.vectorized || config_.vectorized_execution;
-        PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db, eo).status());
+        PSE_RETURN_NOT_OK(ExecutePlan(*plan, &db).status());
         phase.online_probe_io += static_cast<double>(db.TotalIo() - before);
         ++phase.online_probes;
         return Status::OK();

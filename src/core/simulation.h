@@ -81,9 +81,6 @@ struct SimulationConfig {
   uint64_t serve_min_queries = 4;
   /// Base RNG seed for the per-session query mix.
   uint64_t serve_seed = 42;
-  /// Run measured queries, online-migration probes, and serving sessions
-  /// through the vectorized batch engine (PSE_VECTORIZED=1 also forces it).
-  bool vectorized_execution = false;
 };
 
 struct PhaseReport {

@@ -1,6 +1,7 @@
-// Aggregate accumulator shared by the row and vectorized engines, so the
-// two cannot drift on SUM's int/double promotion, AVG's divisor, or
-// COUNT(DISTINCT) semantics — the differential oracle holds them equal.
+// Aggregate accumulator shared by the batch engine and the reference row
+// engine (tests/reference), so the two cannot drift on SUM's int/double
+// promotion, AVG's divisor, or COUNT(DISTINCT) semantics — the differential
+// oracle holds them equal.
 #pragma once
 
 #include <cstdint>

@@ -1,9 +1,10 @@
-// Volcano-style executors: each plan node becomes a pull-based iterator.
-// Physical I/O flows through the Database's buffer pool, so executed plans
-// are measured by the same counters the experiments report.
+// Query execution entry point. Every planned query runs on the batch engine
+// (engine/vec_executor.h): operators pass columnar TupleBatches and each
+// scan takes its table's shared latch per batch, never for the whole
+// execution. Physical I/O flows through the Database's buffer pool, so
+// executed plans are measured by the same counters the experiments report.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "engine/plan.h"
@@ -11,45 +12,16 @@
 
 namespace pse {
 
-/// \brief Engine selection and tuning knobs, shared by both engines.
-///
-/// The row engine stays the default; the vectorized engine is opt-in per
-/// call site (serve lanes, probe queries, benches) or process-wide via the
-/// PSE_VECTORIZED=1 environment variable (how CI forces the flag on for the
-/// differential oracle and the stress suites without plumbing).
+/// \brief Execution tuning knobs.
 struct ExecOptions {
-  /// Batch-at-a-time engine (TupleBatch + selection vectors).
-  bool vectorized = false;
-  /// Rows per TupleBatch in the vectorized engine.
+  /// Rows per TupleBatch.
   size_t batch_rows = 1024;
-  /// Row engine: move pass-through projection columns out of the child row
-  /// instead of re-evaluating ColumnRef expressions (zero-copy fast path).
-  bool zero_copy_project = true;
 
-  /// Process defaults: `vectorized` is forced on when PSE_VECTORIZED=1.
-  static ExecOptions Default();
+  static ExecOptions Default() { return {}; }
 };
 
-/// \brief Pull-based plan operator.
-class Executor {
- public:
-  virtual ~Executor() = default;
-  /// Prepares the operator (may consume blocking inputs, e.g. sort/agg).
-  virtual Status Init() = 0;
-  /// Produces the next row into `out`; returns false at end of stream.
-  virtual Result<bool> Next(Row* out) = 0;
-};
-
-/// Builds the row-engine executor tree for a planned query.
-Result<std::unique_ptr<Executor>> BuildExecutor(const PlanNode& plan, Database* db);
-Result<std::unique_ptr<Executor>> BuildExecutor(const PlanNode& plan, Database* db,
-                                                const ExecOptions& options);
-
-/// Convenience: builds, runs, and collects all output rows. Dispatches to
-/// the engine `options` selects (the no-options overload uses
-/// ExecOptions::Default()).
-Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db);
+/// Builds, runs, and collects all output rows, in the plan's output order.
 Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db,
-                                     const ExecOptions& options);
+                                     const ExecOptions& options = {});
 
 }  // namespace pse

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -23,7 +24,8 @@ namespace {
 /// callers Reset() it before reuse.
 void GatherColumns(TupleBatch* in, const std::vector<size_t>& idxs, TupleBatch* out) {
   const size_t phys = in->num_rows();
-  out->Reset(idxs.size(), phys);
+  // No reservation: every column is replaced wholesale below.
+  out->Reset(idxs.size(), 0);
   for (size_t j = 0; j < idxs.size(); ++j) {
     size_t uses = 0;
     for (size_t k : idxs) {
@@ -88,7 +90,7 @@ class SeqScanVecExecutor : public VecExecutor {
     }
     // Column pruning: decode only what the projection or the pushed-down
     // filter touches. Skipped columns (often wide varchars) never leave the
-    // page — the structural edge over the row engine's full-row decode.
+    // page and are never allocated.
     const size_t width = table_->schema->columns().size();
     needed_ = plan_.scan_column_idxs;
     if (plan_.scan_filter && !CollectColumnPositions(*plan_.scan_filter, &needed_)) {
@@ -98,20 +100,26 @@ class SeqScanVecExecutor : public VecExecutor {
     std::sort(needed_.begin(), needed_.end());
     needed_.erase(std::unique(needed_.begin(), needed_.end()), needed_.end());
     // Shared content latch per batch, not per execution: the same
-    // discipline (and lockdep rank) as the migration copy loop, so a
-    // vectorized lane never nests table latches on the writer-preferring
-    // SharedMutex.
+    // discipline (and lockdep rank) as the migration copy loop, so a serve
+    // lane never nests table latches on the writer-preferring SharedMutex.
     std::shared_lock<SharedMutex> lock(table_->latch);
     it_ = table_->heap->Begin();
+    // Batches never need more room than the table has rows; the live count
+    // is only a reservation hint (a concurrent insert just grows a column).
+    reserve_rows_ =
+        std::min<size_t>(options_.batch_rows, std::max<uint64_t>(table_->row_count, 1));
     return Status::OK();
   }
 
   Result<bool> InternalNext(TupleBatch* out) override {
     const size_t width = table_->schema->columns().size();
-    while (true) {
-      full_.Reset(width, options_.batch_rows);
+    while (!it_.AtEnd()) {
+      full_.Reset(width, 0);
       cols_.clear();
-      for (size_t c : needed_) cols_.push_back(&full_.col(c));
+      for (size_t c : needed_) {
+        full_.col(c).reserve(reserve_rows_);
+        cols_.push_back(&full_.col(c));
+      }
       size_t filled = 0;
       {
         std::shared_lock<SharedMutex> batch_lock(table_->latch);
@@ -130,6 +138,7 @@ class SeqScanVecExecutor : public VecExecutor {
       GatherColumns(&full_, plan_.scan_column_idxs, out);
       return true;
     }
+    return false;
   }
 
  private:
@@ -138,10 +147,29 @@ class SeqScanVecExecutor : public VecExecutor {
   TableHeap::Iterator it_;
   ExprVecExecutor filter_;
   std::vector<size_t> needed_;
+  size_t reserve_rows_ = 0;
   std::vector<std::vector<Value>*> cols_;
   TupleBatch full_;
   std::vector<uint32_t> sel_;
 };
+
+/// Fetches `rid` from `table` and, if it passes `plan.scan_filter`, appends
+/// its `plan.scan_column_idxs` values to `out`'s columns from `first_col` on.
+/// The caller holds the table's shared latch across the index probe that
+/// produced `rid` and this fetch, so the rid cannot go stale in between.
+Result<bool> AppendIndexedRow(const PlanNode& plan, const TableInfo& table,
+                              const Rid& rid, Row* scratch, TupleBatch* out,
+                              size_t first_col) {
+  PSE_RETURN_NOT_OK(table.heap->Get(rid, scratch));
+  if (plan.scan_filter) {
+    PSE_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*plan.scan_filter, *scratch));
+    if (!pass) return false;
+  }
+  for (size_t c = 0; c < plan.scan_column_idxs.size(); ++c) {
+    out->col(first_col + c).push_back((*scratch)[plan.scan_column_idxs[c]]);
+  }
+  return true;
+}
 
 class IndexScanVecExecutor : public VecExecutor {
  public:
@@ -150,35 +178,36 @@ class IndexScanVecExecutor : public VecExecutor {
       : VecExecutor(options), plan_(plan), table_(table), tree_(tree) {}
 
   Status Init() override {
-    if (plan_.scan_filter) {
-      PSE_ASSIGN_OR_RETURN(filter_, ExprVecExecutor::Create(*plan_.scan_filter));
-    }
-    int64_t lo = plan_.lo.value_or(INT64_MIN);
-    int64_t hi = plan_.hi.value_or(INT64_MAX);
-    rids_.clear();
-    pos_ = 0;
-    std::shared_lock<SharedMutex> lock(table_->latch);
-    return tree_->ScanRange(lo, hi, &rids_);
+    next_lo_ = plan_.lo.value_or(INT64_MIN);
+    done_ = false;
+    return Status::OK();
   }
 
+  // Each batch probes the next run of whole keys (about batch_rows row ids)
+  // and fetches their rows under one shared latch, so a write between
+  // batches cannot leave a probed rid pointing at a deleted or moved row.
   Result<bool> InternalNext(TupleBatch* out) override {
-    const size_t width = table_->schema->columns().size();
-    while (pos_ < rids_.size()) {
-      full_.Reset(width, options_.batch_rows);
+    const int64_t hi = plan_.hi.value_or(INT64_MAX);
+    while (!done_) {
+      out->Reset(plan_.scan_column_idxs.size(), 0);
+      size_t kept = 0;
+      std::optional<int64_t> resume;
       {
         std::shared_lock<SharedMutex> batch_lock(table_->latch);
-        Row row;
-        for (size_t n = 0; pos_ < rids_.size() && n < options_.batch_rows; ++n, ++pos_) {
-          PSE_RETURN_NOT_OK(table_->heap->Get(rids_[pos_], &row));
-          full_.AppendRow(std::move(row));
+        rids_.clear();
+        PSE_RETURN_NOT_OK(
+            tree_->ScanRange(next_lo_, hi, options_.batch_rows, &rids_, &resume));
+        for (size_t j = 0; j < out->num_cols(); ++j) out->col(j).reserve(rids_.size());
+        for (const Rid& rid : rids_) {
+          PSE_ASSIGN_OR_RETURN(bool kept_row,
+                               AppendIndexedRow(plan_, *table_, rid, &row_, out, 0));
+          if (kept_row) ++kept;
         }
       }
-      if (filter_.valid()) {
-        PSE_RETURN_NOT_OK(filter_.EvalSelect(full_, &sel_));
-        if (sel_.empty()) continue;
-        full_.SetSel(std::move(sel_));
-      }
-      GatherColumns(&full_, plan_.scan_column_idxs, out);
+      done_ = !resume.has_value();
+      if (resume) next_lo_ = *resume;
+      if (kept == 0) continue;
+      out->SetNumRows(kept);
       return true;
     }
     return false;
@@ -188,11 +217,10 @@ class IndexScanVecExecutor : public VecExecutor {
   const PlanNode& plan_;
   TableInfo* table_;
   const BPlusTree* tree_;
-  ExprVecExecutor filter_;
+  int64_t next_lo_ = 0;
+  bool done_ = false;
   std::vector<Rid> rids_;
-  size_t pos_ = 0;
-  TupleBatch full_;
-  std::vector<uint32_t> sel_;
+  Row row_;
 };
 
 class FilterVecExecutor : public VecExecutor {
@@ -257,7 +285,9 @@ class ProjectVecExecutor : public VecExecutor {
     // move wholesale, and no value is copied for narrowing.
     const size_t phys = in_.num_rows();
     const size_t live = in_.size();
-    out->Reset(plan_.projections.size(), phys);
+    // No reservation: computed columns are sized below, pass-through
+    // columns are replaced wholesale.
+    out->Reset(plan_.projections.size(), 0);
     // Computed columns first — they read `in_` columns that the
     // pass-through moves below would hollow out.
     for (size_t j = 0; j < plan_.projections.size(); ++j) {
@@ -392,17 +422,11 @@ class IndexNLJoinVecExecutor : public VecExecutor {
         rids_.clear();
         PSE_RETURN_NOT_OK(tree_->ScanEqual(key.AsInt(), &rids_));
         for (const Rid& rid : rids_) {
-          PSE_RETURN_NOT_OK(inner_->heap->Get(rid, &inner_full));
-          bool pass = true;
-          if (plan_.scan_filter) {
-            PSE_ASSIGN_OR_RETURN(pass, EvalPredicate(*plan_.scan_filter, inner_full));
-          }
+          PSE_ASSIGN_OR_RETURN(bool pass, AppendIndexedRow(plan_, *inner_, rid, &inner_full,
+                                                           out, outer_width_));
           if (!pass) continue;
           for (size_t c = 0; c < outer_width_; ++c) {
             out->col(c).push_back(outer_batch_.At(c, p));
-          }
-          for (size_t c = 0; c < plan_.scan_column_idxs.size(); ++c) {
-            out->col(outer_width_ + c).push_back(inner_full[plan_.scan_column_idxs[c]]);
           }
           ++emitted;
         }
@@ -547,8 +571,8 @@ class SortVecExecutor : public VecExecutor {
       if (!has) break;
       batch.EmitRows(&rows_);
     }
-    // Stable over the child's batch order, which is the same heap order the
-    // row engine sees — ties break identically under Sort+Limit.
+    // Stable over the child's batch order, which is heap order — ties break
+    // deterministically under Sort+Limit.
     const auto& keys = plan_.sort_keys;
     std::stable_sort(rows_.begin(), rows_.end(), [&keys](const Row& a, const Row& b) {
       for (const auto& k : keys) {
@@ -674,12 +698,12 @@ Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan, Data
   return Status::Internal("unknown plan node kind");
 }
 
-Result<std::vector<Row>> ExecutePlanVectorized(const PlanNode& plan, Database* db,
-                                               const ExecOptions& options) {
-  PSE_LOCKDEP_SCOPE("ExecutePlanVectorized");
+Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db,
+                                     const ExecOptions& options) {
+  PSE_LOCKDEP_SCOPE("ExecutePlan");
   // No whole-execution table latches here: every scan takes its table's
-  // shared latch per batch (see the header comment), so the engine sees
-  // each table in batch-consistent snapshots exactly like the copy loop.
+  // shared latch per batch (see vec_executor.h), so the engine sees each
+  // table in batch-consistent snapshots exactly like the copy loop.
   PSE_ASSIGN_OR_RETURN(auto exec, BuildVecExecutor(plan, db, options));
   PSE_RETURN_NOT_OK(exec->Init());
   std::vector<Row> rows;

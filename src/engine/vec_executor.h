@@ -1,18 +1,20 @@
-// Batch-at-a-time (vectorized) executors: the same physical plans the row
-// engine runs, executed over TupleBatch instead of one Row per virtual
-// call. Scans fill ~1024-row batches straight off heap pages (one page pin
-// per page, not per tuple), filters narrow selection vectors without
-// copying values, and expressions run through compiled ExprVecExecutors.
+// Batch-at-a-time executors: the production engine behind ExecutePlan
+// (engine/executor.h). Each physical plan node becomes a pull-based
+// operator over TupleBatch instead of one Row per virtual call. Scans fill
+// ~1024-row batches straight off heap pages (one page pin per page, not per
+// tuple), filters narrow selection vectors without copying values, and
+// expressions run through compiled ExprVecExecutors.
 //
-// Latching: the row engine's ExecutePlan holds every scanned table's shared
-// latch for the whole execution. The vectorized engine instead takes the
-// per-table shared latch *per batch* inside each scan — exactly the
-// discipline the migration copy loop uses (and at the same `table:<name>`
-// lockdep rank) — and never holds two table latches at once: joins fully
-// drain or release one side before latching the other. Shared latches on
-// the writer-preferring SharedMutex must never nest, so the per-batch style
-// is also what makes it safe for a serve lane to run vectorized while the
-// copy loop batches over the same source.
+// Latching: each scan takes its table's shared latch *per batch* —
+// exactly the discipline the migration copy loop uses (and at the same
+// `table:<name>` lockdep rank) — and never holds two table latches at once:
+// joins fully drain or release one side before latching the other. Shared
+// latches on the writer-preferring SharedMutex must never nest, so the
+// per-batch style is also what makes it safe for a serve lane to read while
+// the copy loop batches over the same source. Index probes and the row
+// fetches they feed share one latch hold, so a row id never goes stale. A
+// query therefore sees each table in batch-consistent snapshots, not one
+// snapshot for the whole execution (DESIGN.md §15 lists the anomalies).
 #pragma once
 
 #include <cstdint>
@@ -67,14 +69,8 @@ class VecExecutor {
   VecExecutorStats stats_;
 };
 
-/// Builds the vectorized executor tree for a planned query.
+/// Builds the batch executor tree for a planned query.
 Result<std::unique_ptr<VecExecutor>> BuildVecExecutor(const PlanNode& plan, Database* db,
                                                       const ExecOptions& options);
-
-/// Builds, runs, and collects all output rows on the vectorized engine.
-/// Row-for-row equal to the row engine's ExecutePlan (the differential
-/// oracle gates this), including output order.
-Result<std::vector<Row>> ExecutePlanVectorized(const PlanNode& plan, Database* db,
-                                               const ExecOptions& options);
 
 }  // namespace pse

@@ -168,9 +168,6 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
   std::vector<double> shard_weights = options.hotness;
   if (shard_weights.empty()) shard_weights.assign(n, 1.0);
 
-  ExecOptions exec_options = ExecOptions::Default();
-  exec_options.vectorized = exec_options.vectorized || options.vectorized;
-
   uint64_t remaining = 0;
   uint64_t io_before = 0;
   uint64_t batches_before = 0;
@@ -252,9 +249,7 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
         // discipline, per shard.
         std::shared_lock<SharedMutex> schema_lock(shard->db()->schema_latch());
         std::shared_ptr<const PhysicalSchema> schema = shard->serving()->Get();
-        DmlExecOptions dml_options;
-        dml_options.vectorized = exec_options.vectorized;
-        Status status = shard->router()->Execute(dml, *schema, dml_options);
+        Status status = shard->router()->Execute(dml, *schema);
         if (!status.ok()) {
           if (status.IsBindError()) {
             ++r.unservable;
@@ -287,7 +282,7 @@ Result<FleetMetrics> FleetScheduler::Run(const std::vector<WorkloadQuery>& queri
           if (!plan.ok()) {
             failed = plan.status();
           } else {
-            Status status = ExecutePlan(**plan, shard->db(), exec_options).status();
+            Status status = ExecutePlan(**plan, shard->db()).status();
             if (!status.ok()) {
               failed = status;
             } else {

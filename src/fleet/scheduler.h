@@ -101,9 +101,6 @@ struct FleetOptions {
   /// fleet migration finishes instantly.
   uint64_t min_queries_per_lane = 32;
   uint64_t seed = 42;
-  /// Execute foreground queries through the vectorized batch engine
-  /// (PSE_VECTORIZED forces this on, as everywhere).
-  bool vectorized = false;
   /// Probability a serve-lane iteration issues a write; needs make_write.
   double write_fraction = 0.0;
   /// Produces the i-th write of a lane against `shard` (the lane's rng keeps

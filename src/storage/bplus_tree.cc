@@ -283,10 +283,19 @@ Status BPlusTree::ScanEqual(int64_t key, std::vector<Rid>* out) const {
 }
 
 Status BPlusTree::ScanRange(int64_t lo, int64_t hi, std::vector<Rid>* out) const {
+  std::optional<int64_t> resume;
+  return ScanRange(lo, hi, SIZE_MAX, out, &resume);
+}
+
+Status BPlusTree::ScanRange(int64_t lo, int64_t hi, size_t limit, std::vector<Rid>* out,
+                            std::optional<int64_t>* resume) const {
+  resume->reset();
   if (lo > hi) return Status::OK();
   PSE_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(lo, 0));
   Composite start{lo, 0};
   PageId pid = leaf;
+  size_t taken = 0;
+  int64_t last_key = 0;
   while (pid != kInvalidPageId) {
     PSE_ASSIGN_OR_RETURN(PageGuard g, pool_->FetchPage(pid));
     const char* p = g.data();
@@ -295,7 +304,13 @@ Status BPlusTree::ScanRange(int64_t lo, int64_t hi, std::vector<Rid>* out) const
     for (; i < n; ++i) {
       Composite e = LeafEntry(p, i);
       if (e.key > hi) return Status::OK();
+      if (taken != 0 && taken >= limit && e.key != last_key) {
+        *resume = e.key;
+        return Status::OK();
+      }
       out->push_back(Rid::Unpack(e.rid));
+      last_key = e.key;
+      ++taken;
     }
     pid = NextLeaf(p);
     start = Composite{INT64_MIN, 0};  // from the next leaf on, take everything

@@ -44,6 +44,12 @@ class BPlusTree {
   Status ScanEqual(int64_t key, std::vector<Rid>* out) const;
   /// Collects rids for key in [lo, hi] (inclusive).
   Status ScanRange(int64_t lo, int64_t hi, std::vector<Rid>* out) const;
+  /// Like ScanRange, but stops once it has collected `limit` rids and the
+  /// key in progress is complete, so a key's entries are never split.
+  /// `*resume` receives the first key left out, or nullopt when [lo, hi]
+  /// is exhausted.
+  Status ScanRange(int64_t lo, int64_t hi, size_t limit, std::vector<Rid>* out,
+                   std::optional<int64_t>* resume) const;
 
   /// Number of levels (1 = root is a leaf).
   uint32_t height() const { return height_; }

@@ -56,12 +56,11 @@ class LockdepCleanScope {
   }
 };
 
-/// Rewrites + executes `query` on `schema` over `db` through the engine
-/// `eo` selects. BindError (the query is not servable on this intermediate
-/// schema) comes back as nullopt; any other failure sets `*hard_error`.
+/// Rewrites + executes `query` on `schema` over `db`. BindError (the query
+/// is not servable on this intermediate schema) comes back as nullopt; any
+/// other failure sets `*hard_error`.
 std::optional<std::vector<Row>> TryRun(Database* db, const LogicalQuery& query,
-                                       const PhysicalSchema& schema, bool* hard_error,
-                                       const ExecOptions& eo = ExecOptions{}) {
+                                       const PhysicalSchema& schema, bool* hard_error) {
   Result<BoundQuery> bound = RewriteQuery(query, schema);
   if (!bound.ok()) {
     if (!bound.status().IsBindError()) *hard_error = true;
@@ -73,7 +72,7 @@ std::optional<std::vector<Row>> TryRun(Database* db, const LogicalQuery& query,
     *hard_error = true;
     return std::nullopt;
   }
-  auto rows = ExecutePlan(**plan, db, eo);
+  auto rows = ExecutePlan(**plan, db);
   if (!rows.ok()) {
     *hard_error = true;
     return std::nullopt;
@@ -81,11 +80,9 @@ std::optional<std::vector<Row>> TryRun(Database* db, const LogicalQuery& query,
   return SortRows(std::move(*rows));
 }
 
-/// Every scenario runs once per engine: param false = row iterators, true =
-/// the vectorized batch engine (whose per-batch table latches must stay
-/// clean under lockdep and TSAN while the migration latches the same
-/// tables).
-class ServingStressTest : public ::testing::TestWithParam<bool> {
+/// The engine's per-batch table latches must stay clean under lockdep and
+/// TSAN while the migration latches the same tables.
+class ServingStressTest : public ::testing::Test {
  protected:
   void SetUp() override {
     bs_ = Bookstore::Make();
@@ -137,11 +134,9 @@ class ServingStressTest : public ::testing::TestWithParam<bool> {
   OperatorSet opset_;
 };
 
-TEST_P(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
+TEST_F(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
   constexpr size_t kReaders = 4;
   LockdepCleanScope lockdep;
-  ExecOptions eo;
-  eo.vectorized = GetParam();
 
   Database db(1024);
   ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
@@ -189,7 +184,7 @@ TEST_P(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
       std::shared_lock<SharedMutex> schema_lock(db.schema_latch());
       std::shared_ptr<const PhysicalSchema> snapshot = serving.Get();
       bool hard = false;
-      auto rows = TryRun(&db, queries_[q].query, *snapshot, &hard, eo);
+      auto rows = TryRun(&db, queries_[q].query, *snapshot, &hard);
       if (hard) {
         ++t.hard_errors;
         continue;
@@ -216,13 +211,13 @@ TEST_P(ServingStressTest, ReadersMatchSerialOracleDuringMigration) {
   ASSERT_TRUE(db.AnalyzeAll().ok());
   for (size_t q = 0; q < queries_.size(); ++q) {
     bool hard = false;
-    auto rows = TryRun(&db, queries_[q].query, current, &hard, eo);
+    auto rows = TryRun(&db, queries_[q].query, current, &hard);
     ASSERT_TRUE(rows.has_value() && !hard) << queries_[q].query.name;
     EXPECT_TRUE(SameRows(*rows, oracle_[q])) << queries_[q].query.name;
   }
 }
 
-TEST_P(ServingStressTest, ServeHarnessReportsCleanMetrics) {
+TEST_F(ServingStressTest, ServeHarnessReportsCleanMetrics) {
   LockdepCleanScope lockdep;
   Database db(1024);
   ASSERT_TRUE(data_->Materialize(&db, bs_->source).ok());
@@ -242,7 +237,6 @@ TEST_P(ServingStressTest, ServeHarnessReportsCleanMetrics) {
   ServeOptions serve;
   serve.sessions = 4;
   serve.min_queries_per_lane = 8;
-  serve.vectorized = GetParam();
   std::vector<double> freqs = {10, 10, 5};
   auto metrics = ServeDuringMigration(&db, &serving, queries_, freqs, serve, [&]() -> Status {
     for (int op : *topo) {
@@ -259,7 +253,7 @@ TEST_P(ServingStressTest, ServeHarnessReportsCleanMetrics) {
   EXPECT_LE(metrics->p95_ms, metrics->p99_ms);
 }
 
-TEST_P(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
+TEST_F(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   // The write half of the serve mix: lanes issue random DML from BOTH
   // application versions through the DmlRouter while the migration copies
   // and publishes underneath them (the router dual-applies whatever lands on
@@ -318,7 +312,6 @@ TEST_P(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   ServeOptions serve;
   serve.sessions = 4;
   serve.min_queries_per_lane = 12;
-  serve.vectorized = GetParam();
   serve.router = &router;
   serve.write_fraction = 0.35;
   serve.make_write = make_write;
@@ -373,7 +366,7 @@ TEST_P(ServingStressTest, WriterLanesStayCleanAcrossALiveMigration) {
   }
 }
 
-TEST_P(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
+TEST_F(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
   // Regression for the glibc shared_mutex starvation that motivated
   // common/rw_latch.h: a tight release/re-acquire reader loop must not keep
   // an exclusive acquisition (the migration's quiesce) waiting forever.
@@ -397,11 +390,6 @@ TEST_P(ServingStressTest, WritersDoNotStarveBehindAReaderStream) {
   });
   EXPECT_EQ(exclusive_grants.load(), 50u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Engines, ServingStressTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "vectorized" : "row";
-                         });
 
 }  // namespace
 }  // namespace pse

@@ -401,20 +401,6 @@ TEST_P(RewriteDmlOracle, RouterMatchesEntityLevelMirrorOnBothLayouts) {
     }
     ExpectStateMatchesMirror(&db, *mirror, *schema, "after the full workload");
     EXPECT_GT(applied, 0u);
-    // The vectorized lookup path answers the same ladder queries.
-    DmlExecOptions vec;
-    vec.vectorized = true;
-    const VersionTable* user = FindTable(old_tables, "user");
-    ASSERT_NE(user, nullptr);
-    LogicalDml ins;
-    ins.kind = DmlKind::kInsert;
-    ins.table = *user;
-    ins.key = 4040;
-    ins.set_attrs = {bs->u_name};
-    ins.set_values = {Value::Varchar("vec")};
-    ASSERT_TRUE(router.Execute(ins, *schema, vec).ok());
-    MirrorApply(mirror.get(), ins);
-    ExpectStateMatchesMirror(&db, *mirror, *schema, "after a vectorized insert");
   }
 }
 

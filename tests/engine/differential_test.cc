@@ -19,6 +19,7 @@
 #include "fleet/tenant_shard.h"
 #include "sql/session.h"
 #include "tests/common/test_db_builder.h"
+#include "tests/reference/row_engine.h"
 #include "tpcw/datagen.h"
 #include "tpcw/queries.h"
 #include "tpcw/schema.h"
@@ -199,9 +200,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialProperty, ::testing::Values(1, 17, 2
 // rewritten onto the current intermediate schema, executed, and compared
 // row for row.
 
-/// Rewrites + executes `query` on `schema` over `db` through BOTH engines
-/// (row iterators and the vectorized batch engine), asserting they agree row
-/// for row before returning the result; unservable (BindError) comes back as
+/// Rewrites + executes `query` on `schema` over `db` through the production
+/// engine and the reference row engine, asserting they agree row for row
+/// before returning the result; unservable (BindError) comes back as
 /// std::nullopt, any other failure is a test failure.
 std::optional<std::vector<Row>> RunOnSchema(Database* db, const LogicalQuery& query,
                                             const PhysicalSchema& schema) {
@@ -215,22 +216,18 @@ std::optional<std::vector<Row>> RunOnSchema(Database* db, const LogicalQuery& qu
   auto plan = PlanQuery(*bound, view);
   EXPECT_TRUE(plan.ok()) << query.name << ": " << plan.status().ToString();
   if (!plan.ok()) return std::nullopt;
-  ExecOptions row_engine;
-  row_engine.vectorized = false;
-  auto rows = ExecutePlan(**plan, db, row_engine);
+  auto rows = ExecutePlan(**plan, db);
   EXPECT_TRUE(rows.ok()) << query.name << ": " << rows.status().ToString();
   if (!rows.ok()) return std::nullopt;
-  ExecOptions vec_engine;
-  vec_engine.vectorized = true;
-  auto vec_rows = ExecutePlan(**plan, db, vec_engine);
-  EXPECT_TRUE(vec_rows.ok()) << query.name << " (vectorized): "
-                             << vec_rows.status().ToString();
-  if (!vec_rows.ok()) return std::nullopt;
+  auto ref_rows = reference::ExecutePlan(**plan, db);
+  EXPECT_TRUE(ref_rows.ok()) << query.name << " (reference): "
+                             << ref_rows.status().ToString();
+  if (!ref_rows.ok()) return std::nullopt;
   std::vector<Row> sorted = SortRows(std::move(*rows));
-  std::vector<Row> vec_sorted = SortRows(std::move(*vec_rows));
-  EXPECT_TRUE(SameRows(sorted, vec_sorted))
-      << query.name << ": vectorized engine diverges from the row engine ("
-      << vec_sorted.size() << " vs " << sorted.size() << " rows)";
+  std::vector<Row> ref_sorted = SortRows(std::move(*ref_rows));
+  EXPECT_TRUE(SameRows(sorted, ref_sorted))
+      << query.name << ": engine diverges from the reference row engine ("
+      << sorted.size() << " vs " << ref_sorted.size() << " rows)";
   return sorted;
 }
 
@@ -329,8 +326,9 @@ TEST(CrossSchemaOracle, TpcwWorkloadRowEqualOnEveryLaaIntermediate) {
 // intermediate — including mid-copy, on both sides of a live frontier — and
 // is mirrored on the entity-level LogicalDatabase. After every burst the
 // physical tables must equal a fresh materialization of the mirror, and
-// every servable read (executed through BOTH engines) must equal the same
-// query answered on the fully-migrated object schema built from the mirror.
+// every servable read (executed through the production engine and checked
+// against the reference row engine) must equal the same query answered on
+// the fully-migrated object schema built from the mirror.
 
 TEST(MixedRwCrossSchemaOracle, DmlFromBothVersionsAgreesOnEveryLaaIntermediate) {
   auto bs = testutil::Bookstore::Make();

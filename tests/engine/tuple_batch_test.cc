@@ -1,8 +1,9 @@
 // TupleBatch and vector-evaluator unit tests: selection-vector edge cases
 // (empty batches, all-filtered batches), NULL handling in the vector
 // expression evaluators (seeded property test against the scalar Expr
-// evaluator), and a batch scan spanning the migration copy frontier
-// mid-operator (via MigrationOptions::on_batch).
+// evaluator), a batch scan spanning the migration copy frontier
+// mid-operator (via MigrationOptions::on_batch), and the per-batch read
+// contract under writes between batches.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,7 +16,9 @@
 #include "engine/expr_vec.h"
 #include "engine/planner.h"
 #include "engine/tuple_batch.h"
+#include "engine/vec_executor.h"
 #include "tests/common/test_db_builder.h"
+#include "tests/reference/row_engine.h"
 
 namespace pse {
 namespace {
@@ -243,26 +246,22 @@ TEST_P(VectorScalarProperty, VectorEvaluatorMatchesScalar) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorScalarProperty, ::testing::Values(3, 41, 77, 123));
 
-// --- vectorized plans against the row engine ---
+// --- batch plans against the reference row engine ---
 
 std::vector<Row> RunBoth(Database* db, const BoundQuery& q) {
   DatabaseCatalogView view(db);
   auto plan = PlanQuery(q, view);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   if (!plan.ok()) return {};
-  ExecOptions row_eo;
-  row_eo.vectorized = false;
-  auto rows = ExecutePlan(**plan, db, row_eo);
+  auto rows = ExecutePlan(**plan, db);
   EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-  ExecOptions vec_eo;
-  vec_eo.vectorized = true;
-  auto vec_rows = ExecutePlan(**plan, db, vec_eo);
-  EXPECT_TRUE(vec_rows.ok()) << vec_rows.status().ToString();
-  if (!rows.ok() || !vec_rows.ok()) return {};
+  auto ref_rows = reference::ExecutePlan(**plan, db);
+  EXPECT_TRUE(ref_rows.ok()) << ref_rows.status().ToString();
+  if (!rows.ok() || !ref_rows.ok()) return {};
   std::vector<Row> a = SortRows(std::move(*rows));
-  std::vector<Row> b = SortRows(std::move(*vec_rows));
-  EXPECT_TRUE(SameRows(a, b)) << "vectorized engine diverges (" << b.size() << " vs "
-                              << a.size() << " rows)";
+  std::vector<Row> b = SortRows(std::move(*ref_rows));
+  EXPECT_TRUE(SameRows(a, b)) << "engine diverges from the reference (" << a.size()
+                              << " vs " << b.size() << " rows)";
   return a;
 }
 
@@ -294,8 +293,8 @@ TEST(VectorizedEngineTest, AllFilteredScan) {
 
 // While a split operator copies `user` in small batches, the on_batch hook
 // (which runs with no latches held, against the still-live source schema)
-// scans the source table through both engines. A vectorized batch scan that
-// spans the copy frontier mid-operator must see exactly the rows the row
+// scans the source table through both engines. A batch scan that spans the
+// copy frontier mid-operator must see exactly the rows the reference row
 // engine sees — the copy takes its per-batch shared latch at the same rank,
 // and the source stays immutable until the quiesce window drops it.
 TEST(VectorizedEngineTest, BatchScanSpansMigrationCopyFrontier) {
@@ -335,6 +334,130 @@ TEST(VectorizedEngineTest, BatchScanSpansMigrationCopyFrontier) {
   auto io = exec.Apply(op, &schema);
   ASSERT_TRUE(io.ok()) << io.status().ToString();
   EXPECT_GT(hook_scans, 3u);  // the scan really did straddle several frontiers
+}
+
+// --- the per-batch read contract (DESIGN.md §15) ---
+
+// A table t(id BIGINT key, s VARCHAR) with the key's index and rows id 0..n-1,
+// s = "x". `rids[i]` is row i's rid.
+struct LatchedTable {
+  Database db{64};
+  std::vector<Rid> rids;
+
+  explicit LatchedTable(int64_t n) {
+    TableSchema t("t",
+                  {Column("id", TypeId::kInt64, 0, false),
+                   Column("s", TypeId::kVarchar, 200)},
+                  {"id"});
+    EXPECT_TRUE(db.CreateTable(t).ok());
+    EXPECT_NE(db.GetTable("t").ValueOrDie()->FindIndex("id"), nullptr);  // the key index
+    for (int64_t i = 0; i < n; ++i) {
+      auto rid = db.Insert("t", Row{Value::Int(i), Value::Varchar("x")});
+      EXPECT_TRUE(rid.ok());
+      rids.push_back(*rid);
+    }
+  }
+
+  // Rewrites row i with a value too long to fit its slot, so the heap
+  // deletes the slot and appends the row elsewhere.
+  void Grow(int64_t i) {
+    Row grown{Value::Int(i), Value::Varchar(std::string(150, 'y'))};
+    auto rid = db.Update("t", rids[i], grown);
+    ASSERT_TRUE(rid.ok()) << rid.status().ToString();
+    ASSERT_NE(*rid, rids[i]);  // the row really moved
+    rids[i] = *rid;
+  }
+};
+
+std::unique_ptr<PlanNode> ScanPlan(PlanNode::Kind kind, std::optional<int64_t> lo = {},
+                                   std::optional<int64_t> hi = {}) {
+  auto plan = std::make_unique<PlanNode>();
+  plan->kind = kind;
+  plan->table = "t";
+  plan->alias = "t";
+  plan->scan_column_idxs = {0, 1};
+  plan->output_columns = {"t.id", "t.s"};
+  plan->index_column = "id";
+  plan->lo = lo;
+  plan->hi = hi;
+  return plan;
+}
+
+// Appends every remaining batch of `exec` to `rows`.
+void Drain(VecExecutor* exec, std::vector<Row>* rows) {
+  TupleBatch batch;
+  while (true) {
+    auto has = exec->Next(&batch);
+    ASSERT_TRUE(has.ok()) << has.status().ToString();
+    if (!*has) return;
+    batch.EmitRows(rows);
+  }
+}
+
+// Writes before the first batch or between batches must not fail an index
+// scan: each batch probes the tree and fetches the rows under one latch, so
+// a deleted row is absent and a moved row is read once, at its new home.
+// The scan resumes at the next unread key, so a row whose key it already
+// passed is not read again when it moves.
+TEST(VectorizedEngineTest, IndexScanFetchesUnderItsProbeLatch) {
+  LatchedTable t(10);
+  auto plan = ScanPlan(PlanNode::Kind::kIndexScan, 0, 9);
+  ExecOptions options;
+  options.batch_rows = 2;
+  auto exec = BuildVecExecutor(*plan, &t.db, options);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_TRUE((*exec)->Init().ok());
+  t.Grow(1);
+  ASSERT_TRUE(t.db.Delete("t", t.rids[2]).ok());
+  TupleBatch first;
+  auto has = (*exec)->Next(&first);
+  ASSERT_TRUE(has.ok() && *has) << has.status().ToString();
+  std::vector<Row> rows;
+  first.EmitRows(&rows);
+  ASSERT_EQ(rows.size(), 2u);  // keys 0 and 1
+  t.Grow(0);
+  t.Grow(5);
+  ASSERT_TRUE(t.db.Delete("t", t.rids[6]).ok());
+  Drain(exec->get(), &rows);
+  rows = SortRows(std::move(rows));
+  std::vector<int64_t> ids;
+  for (const Row& row : rows) {
+    ids.push_back(row[0].AsInt());
+    const bool grown = ids.back() == 1 || ids.back() == 5;
+    EXPECT_EQ(row[1].AsString(), grown ? std::string(150, 'y') : "x") << ids.back();
+  }
+  EXPECT_EQ(ids, (std::vector<int64_t>{0, 1, 3, 4, 5, 7, 8, 9}));
+}
+
+// The seq scan's one documented anomaly: an UPDATE that grows a row the
+// scan already returned moves it to the heap's tail, which the scan has not
+// reached yet, so the query reads both versions. Every other row is read
+// exactly once. A change that closes this case must update DESIGN.md §15.
+TEST(VectorizedEngineTest, SeqScanRereadsARowThatGrowsBehindIt) {
+  LatchedTable t(10);
+  auto plan = ScanPlan(PlanNode::Kind::kSeqScan);
+  ExecOptions options;
+  options.batch_rows = 4;
+  auto exec = BuildVecExecutor(*plan, &t.db, options);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  ASSERT_TRUE((*exec)->Init().ok());
+  TupleBatch first;
+  auto has = (*exec)->Next(&first);
+  ASSERT_TRUE(has.ok() && *has);
+  std::vector<Row> rows;
+  first.EmitRows(&rows);
+  ASSERT_EQ(rows.size(), 4u);
+  ASSERT_EQ(rows[0][0].AsInt(), 0);
+  t.Grow(0);
+  Drain(exec->get(), &rows);
+  rows = SortRows(std::move(rows));
+  ASSERT_EQ(rows.size(), 11u);
+  EXPECT_EQ(rows[0][0].AsInt(), 0);
+  EXPECT_EQ(rows[1][0].AsInt(), 0);
+  EXPECT_NE(rows[0][1].AsString(), rows[1][1].AsString());  // old and new version
+  for (size_t i = 2; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i][0].AsInt(), static_cast<int64_t>(i - 1));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-#include "engine/executor.h"
+#include "tests/reference/row_engine.h"
 
 #include "common/lock_registry.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -11,21 +11,20 @@
 
 #include "common/string_util.h"
 #include "engine/agg_state.h"
-#include "engine/vec_executor.h"
 
-namespace pse {
-
-ExecOptions ExecOptions::Default() {
-  static const bool forced_vectorized = [] {
-    const char* v = std::getenv("PSE_VECTORIZED");
-    return v != nullptr && v[0] == '1';
-  }();
-  ExecOptions options;
-  options.vectorized = forced_vectorized;
-  return options;
-}
+namespace pse::reference {
 
 namespace {
+
+/// \brief Pull-based plan operator.
+class Executor {
+ public:
+  virtual ~Executor() = default;
+  /// Prepares the operator (may consume blocking inputs, e.g. sort/agg).
+  virtual Status Init() = 0;
+  /// Produces the next row into `out`; returns false at end of stream.
+  virtual Result<bool> Next(Row* out) = 0;
+};
 
 /// Projects the positions in `idxs` out of `in`.
 Row ProjectRow(const Row& in, const std::vector<size_t>& idxs) {
@@ -128,26 +127,8 @@ class FilterExecutor : public Executor {
 
 class ProjectExecutor : public Executor {
  public:
-  ProjectExecutor(const PlanNode& plan, std::unique_ptr<Executor> child,
-                  const ExecOptions& options)
-      : plan_(plan), child_(std::move(child)) {
-    // Zero-copy fast path: a projection that only reorders/narrows resolved
-    // columns moves the values straight out of the child row instead of
-    // routing each through a virtual Eval returning Result<Value>. Moving
-    // is only sound when no source position repeats.
-    if (!options.zero_copy_project) return;
-    std::vector<size_t> positions;
-    positions.reserve(plan_.projections.size());
-    for (const auto& p : plan_.projections) {
-      const auto* col = dynamic_cast<const ColumnRefExpr*>(p.get());
-      if (col == nullptr || !col->resolved()) return;
-      positions.push_back(col->position());
-    }
-    std::vector<size_t> sorted = positions;
-    std::sort(sorted.begin(), sorted.end());
-    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) return;
-    pass_through_ = std::move(positions);
-  }
+  ProjectExecutor(const PlanNode& plan, std::unique_ptr<Executor> child)
+      : plan_(plan), child_(std::move(child)) {}
 
   Status Init() override { return child_->Init(); }
 
@@ -156,10 +137,6 @@ class ProjectExecutor : public Executor {
     if (!has) return false;
     out->clear();
     out->reserve(plan_.projections.size());
-    if (!pass_through_.empty()) {
-      for (size_t pos : pass_through_) out->push_back(std::move(in_[pos]));
-      return true;
-    }
     for (const auto& p : plan_.projections) {
       PSE_ASSIGN_OR_RETURN(Value v, p->Eval(in_));
       out->push_back(std::move(v));
@@ -170,8 +147,6 @@ class ProjectExecutor : public Executor {
  private:
   const PlanNode& plan_;
   std::unique_ptr<Executor> child_;
-  /// Child positions when every projection is a distinct resolved column.
-  std::vector<size_t> pass_through_;
   Row in_;
 };
 
@@ -426,14 +401,8 @@ class LimitExecutor : public Executor {
   int64_t emitted_ = 0;
 };
 
-}  // namespace
-
+/// Builds the row-engine executor tree for a planned query.
 Result<std::unique_ptr<Executor>> BuildExecutor(const PlanNode& plan, Database* db) {
-  return BuildExecutor(plan, db, ExecOptions{});
-}
-
-Result<std::unique_ptr<Executor>> BuildExecutor(const PlanNode& plan, Database* db,
-                                                const ExecOptions& options) {
   switch (plan.kind) {
     case PlanNode::Kind::kSeqScan: {
       PSE_ASSIGN_OR_RETURN(TableInfo * t, db->GetTable(plan.table));
@@ -448,21 +417,21 @@ Result<std::unique_ptr<Executor>> BuildExecutor(const PlanNode& plan, Database* 
       return std::unique_ptr<Executor>(new IndexScanExecutor(plan, t, idx->tree.get()));
     }
     case PlanNode::Kind::kFilter: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db));
       return std::unique_ptr<Executor>(new FilterExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kProject: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db, options));
-      return std::unique_ptr<Executor>(new ProjectExecutor(plan, std::move(child), options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db));
+      return std::unique_ptr<Executor>(new ProjectExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kHashJoin: {
-      PSE_ASSIGN_OR_RETURN(auto build, BuildExecutor(*plan.children[0], db, options));
-      PSE_ASSIGN_OR_RETURN(auto probe, BuildExecutor(*plan.children[1], db, options));
+      PSE_ASSIGN_OR_RETURN(auto build, BuildExecutor(*plan.children[0], db));
+      PSE_ASSIGN_OR_RETURN(auto probe, BuildExecutor(*plan.children[1], db));
       return std::unique_ptr<Executor>(
           new HashJoinExecutor(plan, std::move(build), std::move(probe)));
     }
     case PlanNode::Kind::kIndexNLJoin: {
-      PSE_ASSIGN_OR_RETURN(auto outer, BuildExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto outer, BuildExecutor(*plan.children[0], db));
       PSE_ASSIGN_OR_RETURN(TableInfo * t, db->GetTable(plan.table));
       const IndexInfo* idx = t->FindIndex(plan.index_column);
       if (idx == nullptr) {
@@ -472,26 +441,25 @@ Result<std::unique_ptr<Executor>> BuildExecutor(const PlanNode& plan, Database* 
           new IndexNLJoinExecutor(plan, std::move(outer), t, idx->tree.get()));
     }
     case PlanNode::Kind::kDistinct: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db));
       return std::unique_ptr<Executor>(new DistinctExecutor(std::move(child)));
     }
     case PlanNode::Kind::kAggregate: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db));
       return std::unique_ptr<Executor>(new AggregateExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kSort: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db));
       return std::unique_ptr<Executor>(new SortExecutor(plan, std::move(child)));
     }
     case PlanNode::Kind::kLimit: {
-      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db, options));
+      PSE_ASSIGN_OR_RETURN(auto child, BuildExecutor(*plan.children[0], db));
       return std::unique_ptr<Executor>(new LimitExecutor(plan, std::move(child)));
     }
   }
   return Status::Internal("unknown plan node kind");
 }
 
-namespace {
 /// Collects every base table the plan touches (scans and index-join inners).
 void CollectPlanTables(const PlanNode& plan, std::vector<std::string>* out) {
   if (!plan.table.empty()) out->push_back(ToLower(plan.table));
@@ -500,13 +468,7 @@ void CollectPlanTables(const PlanNode& plan, std::vector<std::string>* out) {
 }  // namespace
 
 Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db) {
-  return ExecutePlan(plan, db, ExecOptions::Default());
-}
-
-Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db,
-                                     const ExecOptions& options) {
-  if (options.vectorized) return ExecutePlanVectorized(plan, db, options);
-  PSE_LOCKDEP_SCOPE("ExecutePlan");
+  PSE_LOCKDEP_SCOPE("reference::ExecutePlan");
   // Shared content latch on every table the plan reads, held for the whole
   // execution. Sorted + deduped so concurrent executions acquire in one
   // global order (and a self-join never double-locks). Writers
@@ -523,7 +485,7 @@ Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db,
     PSE_ASSIGN_OR_RETURN(TableInfo * t, db->GetTable(name));
     table_locks.emplace_back(t->latch);
   }
-  PSE_ASSIGN_OR_RETURN(auto exec, BuildExecutor(plan, db, options));
+  PSE_ASSIGN_OR_RETURN(auto exec, BuildExecutor(plan, db));
   PSE_RETURN_NOT_OK(exec->Init());
   std::vector<Row> rows;
   Row row;
@@ -535,4 +497,4 @@ Result<std::vector<Row>> ExecutePlan(const PlanNode& plan, Database* db,
   return rows;
 }
 
-}  // namespace pse
+}  // namespace pse::reference

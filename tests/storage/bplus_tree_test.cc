@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/rng.h"
@@ -79,6 +80,39 @@ TEST_F(BPlusTreeTest, RangeScanInclusive) {
   out.clear();
   ASSERT_TRUE(tree->ScanRange(20, 10, &out).ok());  // empty reversed range
   EXPECT_TRUE(out.empty());
+}
+
+// A bounded scan stops after `limit` rids but never splits a key's entries,
+// and resuming at the reported key covers the range exactly once.
+TEST_F(BPlusTreeTest, BoundedRangeScanKeepsKeysWhole) {
+  auto tree = BPlusTree::Create(&pool_);
+  ASSERT_TRUE(tree.ok());
+  for (int64_t k = 0; k < 400; ++k) {
+    for (uint16_t d = 0; d < 3; ++d) {  // three entries per key, across leaf splits
+      ASSERT_TRUE(tree->Insert(k, MakeRid(static_cast<uint32_t>(k), d)).ok());
+    }
+  }
+  std::vector<Rid> out;
+  std::optional<int64_t> resume;
+  ASSERT_TRUE(tree->ScanRange(10, 19, 4, &out, &resume).ok());
+  EXPECT_EQ(out.size(), 6u);  // keys 10 and 11, whole
+  ASSERT_TRUE(resume.has_value());
+  EXPECT_EQ(*resume, 12);
+
+  std::vector<Rid> all;
+  int64_t lo = 0;
+  size_t calls = 0;
+  while (true) {
+    ASSERT_TRUE(tree->ScanRange(lo, 399, 64, &all, &resume).ok());
+    ++calls;
+    if (!resume) break;
+    lo = *resume;
+  }
+  std::vector<Rid> expected;
+  ASSERT_TRUE(tree->ScanRange(0, 399, &expected).ok());
+  EXPECT_EQ(all, expected);
+  EXPECT_EQ(all.size(), 1200u);
+  EXPECT_EQ(calls, 19u);  // 66 rids (22 whole keys) per call, 1200 in all
 }
 
 TEST_F(BPlusTreeTest, SplitsGrowHeight) {
